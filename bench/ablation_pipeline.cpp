@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "attention/approx_attention.hpp"
 #include "bench_common.hpp"
 #include "harness/accuracy.hpp"
 #include "sim/accelerator.hpp"

@@ -118,9 +118,9 @@ BM_QuantizedPipeline(benchmark::State &state)
 {
     const auto n = static_cast<std::size_t>(state.range(0));
     const Fixture f = makeFixture(n, 64);
-    const QuantizedAttention qa(4, 4, n, 64);
+    const QuantizedAttention qa(f.key, f.value, 4, 4);
     for (auto _ : state)
-        benchmark::DoNotOptimize(qa.run(f.key, f.value, f.query));
+        benchmark::DoNotOptimize(qa.run(f.query));
 }
 BENCHMARK(BM_QuantizedPipeline)->Arg(320);
 

@@ -29,19 +29,16 @@ namespace {
 using namespace a3;
 
 /**
- * Bound-task K/V bytes at the representative 320 x 64 shape:
- * key + value lane arrays plus the per-row float scales the packed
- * layouts carry (QuantizedAttention::memoryBytes mirrors this).
+ * Bound-task K/V bytes at the representative 320 x 64 shape: the key
+ * and value lane arrays (QuantizedAttention::memoryBytes mirrors
+ * this).
  */
 std::string
 kvBytesAt320x64(PackedKvFormat resolved)
 {
     const std::size_t n = 320;
     const std::size_t d = 64;
-    std::size_t bytes = 2 * n * packedRowBytes(resolved, d);
-    if (resolved != PackedKvFormat::Word32)
-        bytes += 2 * n * sizeof(float);
-    return std::to_string(bytes);
+    return std::to_string(2 * n * packedRowBytes(resolved, d));
 }
 
 }  // namespace

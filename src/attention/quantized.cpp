@@ -12,25 +12,13 @@
 namespace a3 {
 
 QuantizedAttention::QuantizedAttention(int intBits, int fracBits,
-                                       std::size_t maxRows,
-                                       std::size_t dims)
-    : formats_(PipelineFormats::derive(intBits, fracBits, maxRows, dims)),
-      lut_(2 * fracBits, 2 * fracBits),
-      maxRows_(maxRows), dims_(dims)
+                                       std::size_t rows,
+                                       std::size_t dims,
+                                       PackedKvFormat packed)
+    : formats_(PipelineFormats::derive(intBits, fracBits, rows, dims)),
+      lut_(2 * fracBits, 2 * fracBits), rows_(rows), dims_(dims),
+      packed_(packed)
 {
-}
-
-QuantizedAttention::QuantizedAttention(Matrix key, Matrix value,
-                                       int intBits, int fracBits,
-                                       PackedKvFormat packedKv)
-    : QuantizedAttention(intBits, fracBits, key.rows(), key.cols())
-{
-    a3Assert(key.rows() == value.rows() && key.cols() == value.cols(),
-             "key/value shape mismatch");
-    a3Assert(key.rows() > 0 && key.cols() > 0,
-             "attention task must be non-empty");
-
-    packed_ = resolvePackedKvFormat(packedKv, intBits, fracBits);
     if (packed_ != PackedKvFormat::Word32) {
         // The packed kernels accumulate in int32; the derived dot
         // format must fit (it always does for byte-narrow words at
@@ -39,17 +27,26 @@ QuantizedAttention::QuantizedAttention(Matrix key, Matrix value,
                  "dot-product format exceeds the packed kernels' "
                  "32-bit accumulator; use PackedKvFormat::Word32");
     }
+}
+
+QuantizedAttention::QuantizedAttention(Matrix key, Matrix value,
+                                       int intBits, int fracBits,
+                                       PackedKvFormat packedKv)
+    : QuantizedAttention(
+          intBits, fracBits, key.rows(), key.cols(),
+          resolvePackedKvFormat(packedKv, intBits, fracBits))
+{
+    a3Assert(key.rows() == value.rows() && key.cols() == value.cols(),
+             "key/value shape mismatch");
+    a3Assert(key.rows() > 0 && key.cols() > 0,
+             "attention task must be non-empty");
 
     // Quantize the task once at bind time — the host copies quantized
     // matrices into the accelerator SRAM exactly once per task — and
     // drop the float originals: every runInto() reads the cached words
     // instead of re-quantizing n x d floats per query.
-    const std::size_t n = key.rows();
-    const std::size_t d = key.cols();
-    boundRows_ = n;
-    bound_ = true;
-    packRows(key, value, n);
-    Scratch::forThread().reserveTask(n, d);
+    packRows(key, value, rows_);
+    Scratch::forThread().reserveTask(rows_, dims_);
 }
 
 void
@@ -58,19 +55,6 @@ QuantizedAttention::packRows(const Matrix &keyRows,
 {
     const FixedFormat inFmt = formats_.input;
     const std::size_t d = dims_;
-    if (packed_ != PackedKvFormat::Word32) {
-        // Every row shares the symmetric quantizer's resolution today;
-        // stored per row so the dequant path already consumes the
-        // layout a per-row-range scheme would produce. Word32 keeps no
-        // scale metadata: the legacy layout is preserved exactly.
-        const float scale = static_cast<float>(inFmt.resolution());
-        keyScale_.reserve(keyScale_.size() + count);
-        valueScale_.reserve(valueScale_.size() + count);
-        for (std::size_t r = 0; r < count; ++r) {
-            keyScale_.push_back(scale);
-            valueScale_.push_back(scale);
-        }
-    }
     switch (packed_) {
     case PackedKvFormat::Word32:
         keyQ_.reserve(keyQ_.size() + count * d);
@@ -117,17 +101,9 @@ QuantizedAttention::packRows(const Matrix &keyRows,
     }
 }
 
-std::size_t
-QuantizedAttention::rows() const
-{
-    return bound_ ? boundRows_ : maxRows_;
-}
-
 void
 QuantizedAttention::append(const Matrix &keyRows, const Matrix &valueRows)
 {
-    a3Assert(bound_, "append() needs a bound task; use the "
-                     "(key, value, intBits, fracBits) constructor");
     a3Assert(keyRows.rows() == valueRows.rows() &&
                  keyRows.cols() == valueRows.cols(),
              "appended key/value shape mismatch");
@@ -139,21 +115,20 @@ QuantizedAttention::append(const Matrix &keyRows, const Matrix &valueRows)
 
     const FixedFormat inFmt = formats_.input;
     packRows(keyRows, valueRows, k);
-    boundRows_ += k;
-    maxRows_ = boundRows_;
+    rows_ += k;
     // Re-derive the stage widths for the grown n: only the expSum and
     // output capacity annotations change — every fraction width stays,
     // so existing words and future results are unaffected beyond the
     // larger legal range.
     formats_ = PipelineFormats::derive(inFmt.intBits, inFmt.fracBits,
-                                       boundRows_, dims_);
-    Scratch::forThread().reserveTask(boundRows_, dims_);
+                                       rows_, dims_);
+    Scratch::forThread().reserveTask(rows_, dims_);
 }
 
 std::unique_ptr<AttentionBackend>
 QuantizedAttention::clone() const
 {
-    // Member-wise copy: lanes, scales, formats, and the LUT are all
+    // Member-wise copy: lanes, formats, and the LUT are all
     // plain values, so the clone is bit-identical in queries.
     return std::unique_ptr<AttentionBackend>(
         new QuantizedAttention(*this));
@@ -175,20 +150,15 @@ QuantizedAttention::compact()
     shrink(valueQ8_);
     shrink(keyQ4_);
     shrink(valueQ4_);
-    shrink(keyScale_);
-    shrink(valueScale_);
     return reclaimed;
 }
 
 void
 QuantizedAttention::serializeState(WireWriter &out) const
 {
-    a3Assert(bound_, "serializeState() needs a bound task");
-    out.u64(boundRows_);
+    out.u64(rows_);
     out.u64(dims_);
     out.u8(static_cast<std::uint8_t>(packed_));
-    out.floats(keyScale_.data(), keyScale_.size());
-    out.floats(valueScale_.data(), valueScale_.size());
     switch (packed_) {
     case PackedKvFormat::Word32:
         // int32 words travel as their two's-complement bit patterns.
@@ -227,24 +197,13 @@ QuantizedAttention::restore(const EngineConfig &config, WireReader &in)
     if (packedRaw != static_cast<std::uint8_t>(expected))
         return nullptr;
 
-    // The sized constructor re-derives the stage formats and the
-    // exponent LUT — both deterministic functions of the config and
-    // shape, so recomputing them is bit-identical to the original.
-    auto backend = std::make_unique<QuantizedAttention>(
-        config.intBits, config.fracBits,
-        static_cast<std::size_t>(rows),
-        static_cast<std::size_t>(dims));
-    backend->packed_ = expected;
-    in.floats(backend->keyScale_);
-    in.floats(backend->valueScale_);
-
+    // Re-derive the stage formats and the exponent LUT — both
+    // deterministic functions of the config and shape, so recomputing
+    // them is bit-identical to the original.
     const std::size_t n = static_cast<std::size_t>(rows);
     const std::size_t d = static_cast<std::size_t>(dims);
-    const std::size_t scaleCount =
-        expected == PackedKvFormat::Word32 ? 0 : n;
-    if (!in.ok() || backend->keyScale_.size() != scaleCount ||
-        backend->valueScale_.size() != scaleCount)
-        return nullptr;
+    std::unique_ptr<QuantizedAttention> backend(new QuantizedAttention(
+        config.intBits, config.fracBits, n, d, expected));
 
     std::size_t laneCount = 0;
     switch (expected) {
@@ -300,8 +259,6 @@ QuantizedAttention::restore(const EngineConfig &config, WireReader &in)
     if (!in.ok())
         return nullptr;
 
-    backend->boundRows_ = n;
-    backend->bound_ = true;
     Scratch::forThread().reserveTask(n, d);
     return backend;
 }
@@ -309,26 +266,19 @@ QuantizedAttention::restore(const EngineConfig &config, WireReader &in)
 std::size_t
 QuantizedAttention::memoryBytes() const
 {
-    const std::size_t lanes =
-        (keyQ_.size() + valueQ_.size()) * sizeof(std::int32_t) +
-        (keyQ8_.size() + valueQ8_.size()) * sizeof(std::int8_t) +
-        (keyQ4_.size() + valueQ4_.size()) * sizeof(std::uint8_t);
-    const std::size_t scales =
-        (keyScale_.size() + valueScale_.size()) * sizeof(float);
-    return lanes + scales;
+    return (keyQ_.size() + valueQ_.size()) * sizeof(std::int32_t) +
+           (keyQ8_.size() + valueQ8_.size()) * sizeof(std::int8_t) +
+           (keyQ4_.size() + valueQ4_.size()) * sizeof(std::uint8_t);
 }
 
 void
 QuantizedAttention::runInto(const Vector &query,
                             AttentionResult &out) const
 {
-    a3Assert(bound_, "one-argument run() needs a bound task; use the "
-                     "(key, value, intBits, fracBits) constructor");
     Scratch &scratch = Scratch::forThread();
-    scratch.rowIds.resize(boundRows_);
+    scratch.rowIds.resize(rows_);
     std::iota(scratch.rowIds.begin(), scratch.rowIds.end(), 0u);
-    runCore(boundRows_, nullptr, nullptr, query, scratch.rowIds, out,
-            scratch);
+    runCore(query, scratch.rowIds, out, scratch);
 }
 
 void
@@ -336,50 +286,15 @@ QuantizedAttention::runRowsInto(const Vector &query,
                                 std::span<const std::uint32_t> rows,
                                 AttentionResult &out) const
 {
-    a3Assert(bound_, "runRowsInto() needs a bound task");
-    runCore(boundRows_, nullptr, nullptr, query, rows, out,
-            Scratch::forThread());
-}
-
-AttentionResult
-QuantizedAttention::run(const Matrix &key, const Matrix &value,
-                        const Vector &query) const
-{
-    std::vector<std::uint32_t> all(key.rows());
-    std::iota(all.begin(), all.end(), 0u);
-    return run(key, value, query, all);
-}
-
-AttentionResult
-QuantizedAttention::run(const Matrix &key, const Matrix &value,
-                        const Vector &query,
-                        const std::vector<std::uint32_t> &rows) const
-{
-    a3Assert(key.rows() == value.rows() && key.cols() == value.cols(),
-             "key/value shape mismatch");
-    AttentionResult out;
-    runCore(key.rows(), &key, &value, query, rows, out,
-            Scratch::forThread());
-    return out;
+    runCore(query, rows, out, Scratch::forThread());
 }
 
 void
-QuantizedAttention::runCore(std::size_t n, const Matrix *key,
-                            const Matrix *value, const Vector &query,
+QuantizedAttention::runCore(const Vector &query,
                             std::span<const std::uint32_t> rows,
                             AttentionResult &result,
                             Scratch &scratch) const
 {
-    a3Assert(key == nullptr ||
-                 (key->rows() == n && key->cols() == dims_ &&
-                  value->rows() == n && value->cols() == dims_),
-             "task exceeds the sized pipeline capacity (",
-             key != nullptr ? key->rows() : n, "x",
-             key != nullptr ? key->cols() : dims_, " vs ", maxRows_,
-             "x", dims_, ")");
-    a3Assert(n <= maxRows_,
-             "task exceeds the sized pipeline capacity (", n, " rows "
-             "vs ", maxRows_, ")");
     a3Assert(!rows.empty(), "quantized pipeline needs at least one row");
 
     const std::size_t d = dims_;
@@ -392,11 +307,10 @@ QuantizedAttention::runCore(std::size_t n, const Matrix *key,
     for (std::size_t j = 0; j < d; ++j)
         queryQ[j] = inFmt.quantize(query[j]);
 
-    // Bound runs with a packed layout MAC directly on the packed
-    // lanes; the lanes hold the exact quantized words, so the result
-    // is bit-identical to the Word32 loops.
-    const bool packedLanes =
-        key == nullptr && packed_ != PackedKvFormat::Word32;
+    // Packed layouts MAC directly on the packed lanes; the lanes hold
+    // the exact quantized words, so the result is bit-identical to
+    // the Word32 loops.
+    const bool packedLanes = packed_ != PackedKvFormat::Word32;
     const Kernels &kern = activeKernels();
 
     // --- Module 1: dot products and running max (Figure 5 lines 3-10).
@@ -429,14 +343,9 @@ QuantizedAttention::runCore(std::size_t n, const Matrix *key,
         for (std::size_t i = 0; i < m; ++i) {
             const std::uint32_t r = rows[i];
             std::int64_t sum = 0;  // adder-tree acc, (2i+log2 d, 2f)
-            if (key == nullptr) {
-                const std::int32_t *keyRow = keyQ_.data() + r * d;
-                for (std::size_t j = 0; j < d; ++j)
-                    sum += keyRow[j] * queryQ[j];
-            } else {
-                for (std::size_t j = 0; j < d; ++j)
-                    sum += inFmt.quantize((*key)(r, j)) * queryQ[j];
-            }
+            const std::int32_t *keyRow = keyQ_.data() + r * d;
+            for (std::size_t j = 0; j < d; ++j)
+                sum += keyRow[j] * queryQ[j];
             a3Assert(formats_.dotProduct.fits(sum),
                      "dot-product stage overflow: Section III-B widths "
                      "violated");
@@ -462,8 +371,8 @@ QuantizedAttention::runCore(std::size_t n, const Matrix *key,
                          "~1 by construction");
 
     // --- Module 3: weights and output accumulation (lines 17-21).
-    result.scores.assign(n, 0.0f);
-    result.weights.assign(n, 0.0f);
+    result.scores.assign(rows_, 0.0f);
+    result.weights.assign(rows_, 0.0f);
     result.candidates.assign(rows.begin(), rows.end());
     result.kept.assign(rows.begin(), rows.end());
     result.output.assign(d, 0.0f);
@@ -473,23 +382,17 @@ QuantizedAttention::runCore(std::size_t n, const Matrix *key,
     std::vector<std::int64_t> &outQ = scratch.outQ;
     outQ.assign(d, 0);
     const std::size_t rowBytes4 = (d + 1) / 2;
-    const double queryScale = inFmt.resolution();
+    // Scaling by a power of two is exact, so double(dot) * dotScale is
+    // formats_.dotProduct.toDouble(dot) without an ldexp() per row.
+    const double dotScale = formats_.dotProduct.resolution();
     for (std::size_t i = 0; i < m; ++i) {
         const std::uint32_t r = rows[i];
         const FixedValue scoreV{scoreQ[i], formats_.score};
         const FixedValue weightV =
             divide(scoreV, expSumV, formats_.weight.intBits,
                    formats_.weight.fracBits);
-        // Packed rows dequantize through the per-row scale metadata;
-        // the scales are powers of two, so the product double(raw) *
-        // keyScale * queryScale is exact and bit-identical to the
-        // dotProduct format's own toDouble().
         result.scores[r] =
-            packedLanes
-                ? static_cast<float>(static_cast<double>(dotQ[i]) *
-                                     keyScale_[r] * queryScale)
-                : static_cast<float>(
-                      formats_.dotProduct.toDouble(dotQ[i]));
+            static_cast<float>(static_cast<double>(dotQ[i]) * dotScale);
         result.weights[r] = static_cast<float>(weightV.toDouble());
         if (packedLanes) {
             // Fused dequant-dot accumulation on the packed bytes:
@@ -505,13 +408,9 @@ QuantizedAttention::runCore(std::size_t n, const Matrix *key,
                             outQ.data(), d);
             continue;
         }
-        const std::int32_t *valueRow =
-            value == nullptr ? valueQ_.data() + r * d : nullptr;
+        const std::int32_t *valueRow = valueQ_.data() + r * d;
         for (std::size_t j = 0; j < d; ++j) {
-            const std::int64_t vq =
-                valueRow != nullptr ? valueRow[j]
-                                    : inFmt.quantize((*value)(r, j));
-            const FixedValue valueV{vq, inFmt};
+            const FixedValue valueV{valueRow[j], inFmt};
             const FixedValue product = mulFull(weightV, valueV);
             // Accumulate at (i + log2 n, 3f); product already has 3f
             // fraction bits because weight carries 2f and value f.

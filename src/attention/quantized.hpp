@@ -33,20 +33,11 @@ class QuantizedAttention final : public AttentionBackend
 {
   public:
     /**
-     * Size the pipeline for tasks up to maxRows x dims with inputs
-     * quantized to `intBits`.`fracBits` (paper default: i = f = 4,
-     * n = 320, d = 64). The datapath is unbound: every run() call
-     * supplies its own key/value matrices.
-     */
-    QuantizedAttention(int intBits, int fracBits, std::size_t maxRows,
-                       std::size_t dims);
-
-    /**
-     * Bind a key/value task into the datapath (the AttentionBackend
-     * deployment): the pipeline is sized exactly for the task, the
-     * key/value words are quantized once up front (the host copies
-     * quantized matrices into the accelerator SRAM exactly once per
-     * task), and the one-argument run() answers queries against it.
+     * Bind a key/value task into the datapath with inputs quantized
+     * to `intBits`.`fracBits` (paper default: i = f = 4): the
+     * pipeline is sized exactly for the task, and the key/value words
+     * are quantized once up front (the host copies quantized matrices
+     * into the accelerator SRAM exactly once per task).
      *
      * `packedKv` chooses the SRAM lane layout (fixed/packed.hpp):
      * Auto packs to the narrowest lossless lane for the input format,
@@ -63,13 +54,13 @@ class QuantizedAttention final : public AttentionBackend
 
     using AttentionBackend::run;
 
-    /** Answer one query against the bound task (bound mode only). */
+    /** Answer one query against the bound task. */
     void runInto(const Vector &query,
                  AttentionResult &out) const override;
 
     /**
-     * Incremental task extension (bound mode only): only the appended
-     * rows are quantized — the cached words of the existing rows are
+     * Incremental task extension: only the appended rows are
+     * quantized — the cached words of the existing rows are
      * untouched — and the stage formats are re-derived for the grown
      * row count. Quantization is deterministic and only the capacity
      * annotations (expSum, output integer bits) depend on n, so
@@ -81,18 +72,17 @@ class QuantizedAttention final : public AttentionBackend
 
     /**
      * Bytes of the quantized key/value SRAM lanes in the resolved
-     * packed layout, plus the per-row scale metadata (0 when
-     * unbound). This is the figure SessionCache budgets and
+     * packed layout. This is the figure SessionCache budgets and
      * ShardedBackend aggregation see, so packing directly multiplies
      * session capacity.
      */
     std::size_t memoryBytes() const override;
 
     /**
-     * Bound mode: run the pipeline over a row subset, reusing `out`'s
-     * buffers and the calling thread's Scratch — the allocation-free
-     * path the approximate flow feeds after selection. `rows` may
-     * alias Scratch row buffers.
+     * Run the pipeline over a row subset (what approximate A3 feeds
+     * the base pipeline after selection), reusing `out`'s buffers and
+     * the calling thread's Scratch — the allocation-free path. `rows`
+     * must be non-empty and may alias Scratch row buffers.
      */
     void runRowsInto(const Vector &query,
                      std::span<const std::uint32_t> rows,
@@ -100,45 +90,14 @@ class QuantizedAttention final : public AttentionBackend
 
     std::string name() const override { return "quantized"; }
 
-    /** Bound task rows, or the sized capacity when unbound. */
-    std::size_t rows() const override;
+    /** Bound task rows. */
+    std::size_t rows() const override { return rows_; }
 
-    /** Embedding dimension the pipeline is sized for. */
+    /** Embedding dimension of the bound task. */
     std::size_t dims() const override { return dims_; }
 
-    /** True when a key/value task is bound into the datapath. */
-    bool bound() const { return bound_; }
-
-    /** Resolved K/V lane layout (Word32 when unbound). */
+    /** Resolved K/V lane layout. */
     PackedKvFormat packedFormat() const { return packed_; }
-
-    /**
-     * Per-row dequantization scales of the packed key rows (empty in
-     * Word32 layout). Quantization is symmetric, so the zero point is
-     * implicitly 0 and a lane dequantizes as raw * scale. Today every
-     * row shares the input format's resolution; the layout is per-row
-     * so a future per-row-range scheme drops in without touching the
-     * kernels.
-     */
-    const std::vector<float> &keyScales() const { return keyScale_; }
-
-    /** Per-row dequantization scales of the packed value rows. */
-    const std::vector<float> &valueScales() const { return valueScale_; }
-
-    /**
-     * Run the full pipeline over all rows of the task.
-     * Matrix shapes must be within the sized capacity.
-     */
-    AttentionResult run(const Matrix &key, const Matrix &value,
-                        const Vector &query) const;
-
-    /**
-     * Run the pipeline over a row subset (what approximate A3 feeds the
-     * base pipeline after selection). `rows` must be non-empty.
-     */
-    AttentionResult run(const Matrix &key, const Matrix &value,
-                        const Vector &query,
-                        const std::vector<std::uint32_t> &rows) const;
 
     /** Derived per-stage formats (Section III-B). */
     const PipelineFormats &formats() const { return formats_; }
@@ -150,12 +109,12 @@ class QuantizedAttention final : public AttentionBackend
     bool serializable() const override { return true; }
 
     /**
-     * The packed lanes and per-row scales verbatim (bound mode only)
-     * — the on-disk image is the in-memory SRAM image, so restore()
-     * skips re-quantization entirely. The formats and exponent LUT
-     * are not serialized: both derive deterministically from
-     * (intBits, fracBits, rows, dims), so restore() recomputes them
-     * bit-identically for a fraction of the image size.
+     * The packed lanes verbatim — the on-disk image is the in-memory
+     * SRAM image, so restore() skips re-quantization entirely. The
+     * formats and exponent LUT are not serialized: both derive
+     * deterministically from (intBits, fracBits, rows, dims), so
+     * restore() recomputes them bit-identically for a fraction of the
+     * image size.
      */
     void serializeState(WireWriter &out) const override;
     std::size_t compact() override;
@@ -166,26 +125,26 @@ class QuantizedAttention final : public AttentionBackend
     restore(const EngineConfig &config, WireReader &in);
 
   private:
-    /**
-     * The pipeline over `rows` of an n x dims_ task. In bound mode
-     * key/value are null and the pre-quantized keyQ_/valueQ_ words
-     * are read; in unbound mode the float matrices are quantized on
-     * the fly (identical values either way — quantization is
-     * deterministic, so bound and unbound runs are bit-identical).
-     */
-    void runCore(std::size_t n, const Matrix *key, const Matrix *value,
-                 const Vector &query,
+    /** Stage formats and LUT for a rows x dims task in the resolved
+     *  `packed` layout, with empty lanes; the public constructor and
+     *  restore() fill them. */
+    QuantizedAttention(int intBits, int fracBits, std::size_t rows,
+                       std::size_t dims, PackedKvFormat packed);
+
+    /** The pipeline over `rows` of the bound task. */
+    void runCore(const Vector &query,
                  std::span<const std::uint32_t> rows,
                  AttentionResult &out, Scratch &scratch) const;
 
-    /** Quantize and pack `count` task rows onto the packed arrays. */
+    /** Quantize and pack `count` task rows onto the lane arrays. */
     void packRows(const Matrix &keyRows, const Matrix &valueRows,
                   std::size_t count);
 
     PipelineFormats formats_;
     ExpLut lut_;
-    std::size_t maxRows_;
+    std::size_t rows_;
     std::size_t dims_;
+    PackedKvFormat packed_;
     /**
      * Row-major pre-quantized words of the bound task (n x d), in the
      * resolved packed_ layout. The float matrices are not retained:
@@ -203,12 +162,6 @@ class QuantizedAttention final : public AttentionBackend
     /** Nibble-packed int4 lanes, (dims + 1) / 2 bytes per row. */
     std::vector<std::uint8_t> keyQ4_;
     std::vector<std::uint8_t> valueQ4_;
-    /** Per-row dequantization scales (packed layouts only). */
-    std::vector<float> keyScale_;
-    std::vector<float> valueScale_;
-    PackedKvFormat packed_ = PackedKvFormat::Word32;
-    std::size_t boundRows_ = 0;
-    bool bound_ = false;
 };
 
 }  // namespace a3

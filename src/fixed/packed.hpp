@@ -13,8 +13,8 @@
  * Packing is always lossless: a lane stores the exact two's-complement
  * quantized word, so the packed pipelines are bit-identical to the
  * int32-word pipeline. Quantization is symmetric (FixedFormat's range
- * is [-maxRaw, maxRaw]), so the per-row metadata is a dequantization
- * scale with an implicit zero point of 0.
+ * is [-maxRaw, maxRaw]) with one scale, the input format's
+ * resolution, so the lanes carry no per-row metadata.
  */
 
 #ifndef A3_FIXED_PACKED_HPP

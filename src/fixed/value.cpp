@@ -15,8 +15,10 @@ mulFull(const FixedValue &a, const FixedValue &b)
 {
     FixedFormat out{a.fmt.intBits + b.fmt.intBits,
                     a.fmt.fracBits + b.fmt.fracBits};
-    a3Assert(out.totalBits() <= 63, "mulFull result too wide: ",
-             out.str());
+    // Messages that format a FixedFormat are built only on failure:
+    // mulFull runs once per element on the Word32 output lane.
+    if (out.totalBits() > 63)
+        panic("assertion failed: mulFull result too wide: ", out.str());
     FixedValue result{a.raw * b.raw, out};
     a3Assert(out.fits(result.raw), "mulFull overflow despite width rule");
     return result;
@@ -25,9 +27,9 @@ mulFull(const FixedValue &a, const FixedValue &b)
 FixedValue
 addFull(const FixedValue &a, const FixedValue &b)
 {
-    a3Assert(a.fmt.fracBits == b.fmt.fracBits,
-             "addFull fraction mismatch: ", a.fmt.str(), " vs ",
-             b.fmt.str());
+    if (a.fmt.fracBits != b.fmt.fracBits)
+        panic("assertion failed: addFull fraction mismatch: ",
+              a.fmt.str(), " vs ", b.fmt.str());
     FixedFormat out{std::max(a.fmt.intBits, b.fmt.intBits) + 1,
                     a.fmt.fracBits};
     a3Assert(out.totalBits() <= 63, "addFull result too wide");
@@ -37,9 +39,9 @@ addFull(const FixedValue &a, const FixedValue &b)
 FixedValue
 subFull(const FixedValue &a, const FixedValue &b)
 {
-    a3Assert(a.fmt.fracBits == b.fmt.fracBits,
-             "subFull fraction mismatch: ", a.fmt.str(), " vs ",
-             b.fmt.str());
+    if (a.fmt.fracBits != b.fmt.fracBits)
+        panic("assertion failed: subFull fraction mismatch: ",
+              a.fmt.str(), " vs ", b.fmt.str());
     FixedFormat out{std::max(a.fmt.intBits, b.fmt.intBits) + 1,
                     a.fmt.fracBits};
     a3Assert(out.totalBits() <= 63, "subFull result too wide");

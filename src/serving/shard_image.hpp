@@ -115,7 +115,9 @@ class ShardKeyHasher
 };
 
 constexpr std::uint32_t kShardImageMagic = 0x41335350u;  // "A3SP"
-constexpr std::uint16_t kShardImageVersion = 1;
+/** Bumped whenever a backend payload changes; 2: the quantized
+ *  payloads no longer carry per-row scale arrays. */
+constexpr std::uint16_t kShardImageVersion = 2;
 
 /**
  * Serialize `backend` (which must be serializable()) into the

@@ -209,13 +209,6 @@ ShardedBackend::runPartialInto(const Vector &query,
 }
 
 void
-ShardedBackend::queryDeadlineHint(double remainingSeconds) const
-{
-    for (const auto &shard : shards_)
-        shard->backend().queryDeadlineHint(remainingSeconds);
-}
-
-void
 ShardedBackend::freezeTail()
 {
     std::shared_ptr<ShardHandle> &tail = shards_.back();

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "attention/post_scoring.hpp"
+#include "fixed/pipeline_formats.hpp"
 #include "util/logging.hpp"
 
 namespace a3 {
@@ -53,12 +53,6 @@ A3Accelerator::A3Accelerator(SimConfig config)
     exponentStage_ = std::make_unique<ExponentStage>(config_);
     outputStage_ = std::make_unique<OutputStage>(config_, &valueSram_,
                                                  &dram_);
-    const std::size_t datapathRows =
-        config_.maxRows +
-        (config_.allowDramSpill ? config_.maxDramRows : 0);
-    datapath_ = std::make_unique<QuantizedAttention>(
-        config_.intBits, config_.fracBits, datapathRows,
-        config_.dims);
 }
 
 void
@@ -82,10 +76,14 @@ A3Accelerator::loadTask(const Matrix &key, const Matrix &value)
     a3Assert(inFlight_ == 0 && queryQueue_.empty(),
              "cannot reload the task while queries are in flight");
 
-    ApproxConfig taskConfig = config_.mode == A3Mode::Approx
-                                  ? config_.approx
-                                  : ApproxConfig::exact();
-    task_.emplace(key, value, taskConfig);
+    EngineConfig engine;
+    engine.kind = config_.mode == A3Mode::Approx
+                      ? EngineKind::ApproxQuantized
+                      : EngineKind::ExactQuantized;
+    engine.approx = config_.approx;
+    engine.intBits = config_.intBits;
+    engine.fracBits = config_.fracBits;
+    backend_ = makeBackend(engine, key, value);
 
     // Matrices stream in one row per cycle at comprehension time; the
     // first maxRows rows land in SRAM, the remainder stays in DRAM.
@@ -105,11 +103,11 @@ A3Accelerator::loadTask(const Matrix &key, const Matrix &value)
 std::unique_ptr<QueryJob>
 A3Accelerator::makeJob(const Vector &query)
 {
-    a3Assert(task_.has_value(), "submitQuery before loadTask");
+    a3Assert(backend_ != nullptr, "submitQuery before loadTask");
     a3Assert(query.size() == config_.dims,
              "query dimension ", query.size(), " != datapath width ",
              config_.dims);
-    const std::size_t n = task_->rows();
+    const std::size_t n = backend_->rows();
 
     auto job = std::make_unique<QueryJob>();
     job->id = nextId_++;
@@ -118,43 +116,14 @@ A3Accelerator::makeJob(const Vector &query)
     job->dramRows = n > config_.maxRows ? n - config_.maxRows : 0;
     job->submitCycle = now_;
 
-    if (config_.mode == A3Mode::Base) {
-        job->result =
-            datapath_->run(task_->key(), task_->value(), query);
-        job->iterM = 0;
-        job->candidatesC = n;
-        job->keptK = n;
-        return job;
-    }
-
-    // Approx mode: greedy selection, quantized dot products on the C
-    // candidates, post-scoring on those fixed-point scores, and the
-    // final pipeline pass over the K survivors.
-    CandidateSearchResult search = task_->selectCandidates(query);
-    std::vector<std::uint32_t> candidates = std::move(search.candidates);
-    if (candidates.empty()) {
-        const auto best = std::max_element(search.greedyScore.begin(),
-                                           search.greedyScore.end());
-        candidates.push_back(static_cast<std::uint32_t>(
-            best - search.greedyScore.begin()));
-    }
-
-    AttentionResult candidatePass =
-        datapath_->run(task_->key(), task_->value(), query, candidates);
-    Vector candidateScores(candidates.size());
-    for (std::size_t i = 0; i < candidates.size(); ++i)
-        candidateScores[i] = candidatePass.scores[candidates[i]];
-    std::vector<std::uint32_t> kept = postScoringSelect(
-        candidates, candidateScores, config_.approx.scoreGap());
-    a3Assert(!kept.empty(), "post-scoring must keep the max-score row");
-
-    job->result =
-        datapath_->run(task_->key(), task_->value(), query, kept);
-    job->result.candidates = candidates;
-    job->iterM = config_.approx.iterationsFor(n);
-    job->result.iterations = job->iterM;
-    job->candidatesC = candidates.size();
-    job->keptK = kept.size();
+    // The backend runs the whole functional flow (approx mode: greedy
+    // selection, the candidate pass, post-scoring on its fixed-point
+    // scores, and the pass over the K survivors); the stages only
+    // need its work sizes.
+    backend_->runInto(query, job->result);
+    job->iterM = job->result.iterations;
+    job->candidatesC = job->result.candidates.size();
+    job->keptK = job->result.kept.size();
     return job;
 }
 

@@ -10,9 +10,11 @@
  * exponent (+ fused post-scoring), output — and completed outputs land
  * in the output queue with full timing records.
  *
- * Functional data comes from the bit-accurate fixed-point model, so a
- * simulated run returns the very vectors the RTL would produce, plus
- * per-stage activity for the Figure 15 energy model.
+ * Functional data comes from the bit-accurate fixed-point backend
+ * makeBackend() binds (ExactQuantized in base mode, ApproxQuantized in
+ * approx mode), so a simulated run returns the very vectors the RTL
+ * would produce, plus per-stage activity for the Figure 15 energy
+ * model.
  */
 
 #ifndef A3_SIM_ACCELERATOR_HPP
@@ -23,8 +25,7 @@
 #include <optional>
 #include <vector>
 
-#include "attention/approx_attention.hpp"
-#include "attention/quantized.hpp"
+#include "attention/backend.hpp"
 #include "sim/dram.hpp"
 #include "sim/modules.hpp"
 #include "sim/sram.hpp"
@@ -109,9 +110,6 @@ class A3Accelerator
      * approx mode). */
     std::vector<const Stage *> stages() const;
 
-    /** The bit-accurate fixed-point datapath model. */
-    const QuantizedAttention &datapath() const { return *datapath_; }
-
   private:
     /** Resolve functional results and work sizes for a query. */
     std::unique_ptr<QueryJob> makeJob(const Vector &query);
@@ -137,8 +135,8 @@ class A3Accelerator
     std::deque<QueryJob> outputQueue_;
     std::vector<QueryJob> completed_;
 
-    std::optional<ApproxAttention> task_;
-    std::unique_ptr<QuantizedAttention> datapath_;
+    /** The loaded task, bound into the mode's quantized backend. */
+    std::unique_ptr<AttentionBackend> backend_;
     std::uint64_t inFlight_ = 0;
 };
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "attention/quantized.hpp"
 #include "energy/power_model.hpp"
 #include "sim/accelerator.hpp"
 #include "sim/dram.hpp"
@@ -125,8 +126,9 @@ TEST(DramSpill, FunctionalResultUnaffected)
     acc.drain();
     auto out = acc.popOutput();
     ASSERT_TRUE(out.has_value());
-    const AttentionResult expected =
-        acc.datapath().run(t.key, t.value, t.query);
+    const QuantizedAttention datapath(t.key, t.value, cfg.intBits,
+                                      cfg.fracBits);
+    const AttentionResult expected = datapath.run(t.query);
     EXPECT_EQ(out->result.output, expected.output);
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "attention/approx_attention.hpp"
 #include "attention/quantized.hpp"
 #include "attention/reference.hpp"
 #include "harness/accuracy.hpp"
@@ -44,8 +45,9 @@ TEST(Integration, WorkloadThroughHostInterfaceScoresLikeDirectRun)
 
         // The device returns the quantized pipeline's output; score
         // the retrieval by recomputing weights from the same datapath.
-        const AttentionResult direct = device.datapath().run(
-            task.key, task.value, task.queries[0]);
+        const QuantizedAttention datapath(task.key, task.value,
+                                          cfg.intBits, cfg.fracBits);
+        const AttentionResult direct = datapath.run(task.queries[0]);
         EXPECT_EQ(*output, direct.output);
         viaLinkScore +=
             argmaxAccuracy(direct.weights, task.relevant[0]);
@@ -71,9 +73,6 @@ TEST(Integration, FloatAndQuantizedApproxSelectSameCandidates)
         const ApproxAttention engine(task.key, task.value,
                                      ApproxConfig::conservative());
         const AttentionResult fl = engine.run(task.queries[0]);
-
-        QuantizedAttention datapath(4, 8, task.key.rows(),
-                                    task.key.cols());
         const CandidateSearchResult search =
             engine.selectCandidates(task.queries[0]);
         EXPECT_EQ(fl.candidates, search.candidates);
@@ -134,8 +133,8 @@ TEST(Integration, HarnessEnginesAgreeOnEasyEpisodes)
         const ApproxAttention approx(ep.key, ep.value,
                                      ApproxConfig::conservative());
         const AttentionResult ap = approx.run(ep.query);
-        QuantizedAttention q(4, 4, 24, 64);
-        const AttentionResult qr = q.run(ep.key, ep.value, ep.query);
+        const QuantizedAttention q(ep.key, ep.value, 4, 4);
+        const AttentionResult qr = q.run(ep.query);
         const auto top = [](const Vector &w) {
             return topKIndices(w, 1)[0];
         };

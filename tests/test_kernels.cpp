@@ -18,9 +18,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdlib>
 #include <limits>
+#include <mutex>
 #include <new>
 #include <vector>
 
@@ -678,23 +681,90 @@ TEST(ZeroAllocation, SteadyStateRunIntoEveryBackend)
     }
 }
 
+/**
+ * Forwards to `inner`. The first runInto() on each thread sizes that
+ * thread's Scratch for the task, then waits until `lanes` distinct
+ * threads have entered, so one warm-up batch reaches every engine
+ * lane however the pool hands out its work. A wait past the bound
+ * records a timeout instead of hanging the test.
+ */
+class LaneLatchBackend final : public AttentionBackend
+{
+  public:
+    LaneLatchBackend(AttentionBackend &inner, std::size_t lanes)
+        : inner_(inner), lanes_(lanes)
+    {
+    }
+
+    std::string name() const override { return inner_.name(); }
+    void append(const Matrix &keyRows, const Matrix &valueRows) override
+    {
+        inner_.append(keyRows, valueRows);
+    }
+    std::size_t memoryBytes() const override
+    {
+        return inner_.memoryBytes();
+    }
+    std::size_t rows() const override { return inner_.rows(); }
+    std::size_t dims() const override { return inner_.dims(); }
+
+    void runInto(const Vector &query,
+                 AttentionResult &out) const override
+    {
+        thread_local std::uint64_t entered = 0;
+        if (entered != id_) {
+            entered = id_;
+            Scratch::forThread().reserveTask(rows(), dims());
+            std::unique_lock<std::mutex> lock(mutex_);
+            ++arrived_;
+            allArrived_.notify_all();
+            const auto allIn = [this] { return arrived_ >= lanes_; };
+            if (!allArrived_.wait_for(lock, std::chrono::seconds(30),
+                                      allIn))
+                timedOut_ = true;
+        }
+        inner_.runInto(query, out);
+    }
+
+    bool timedOut() const
+    {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        return timedOut_;
+    }
+
+  private:
+    static inline std::atomic<std::uint64_t> nextId_{1};
+
+    AttentionBackend &inner_;
+    const std::size_t lanes_;
+    const std::uint64_t id_ = nextId_.fetch_add(1);
+    mutable std::mutex mutex_;
+    mutable std::condition_variable allArrived_;
+    mutable std::size_t arrived_ = 0;
+    mutable bool timedOut_ = false;
+};
+
 TEST(ZeroAllocation, SteadyStateEngineBatch)
 {
     const TestTask t = makeTask(555, 48, 16, 8);
     EngineConfig cfg;
     cfg.kind = EngineKind::ApproxFloat;
-    const auto backend = makeBackend(cfg, t.key, t.value);
+    const auto inner = makeBackend(cfg, t.key, t.value);
 
     const AttentionEngine engine(2);
+    const LaneLatchBackend backend(*inner, engine.threads());
     std::vector<AttentionResult> results;
-    // Warm-up: spins the pool, sizes every lane's Scratch and every
-    // result slot's buffers.
+    // Warm-up: spins the pool, sizes every lane's Scratch (the latch
+    // holds each lane's first query until both lanes have one) and
+    // every result slot's buffers.
     for (int pass = 0; pass < 3; ++pass)
-        engine.runInto(*backend, t.queries, results);
+        engine.runInto(backend, t.queries, results);
+    ASSERT_FALSE(backend.timedOut())
+        << "a pool lane never received a warm-up query";
 
     const std::size_t before = allocationCount();
     for (int pass = 0; pass < 10; ++pass)
-        engine.runInto(*backend, t.queries, results);
+        engine.runInto(backend, t.queries, results);
     const std::size_t after = allocationCount();
     EXPECT_EQ(after - before, 0u)
         << (after - before) << " allocations in steady state";

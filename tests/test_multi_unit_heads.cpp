@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "attention/quantized.hpp"
 #include "sim/multi_unit.hpp"
 #include "util/random.hpp"
 
@@ -93,10 +94,11 @@ TEST(ClusterHeads, PerHeadResultsMatchSoloUnits)
         solo.drain();
         const auto expected = solo.popOutput();
         ASSERT_TRUE(expected.has_value());
-        const AttentionResult fromCluster =
-            cluster.unit(h).datapath().run(
-                tasks[h].first, tasks[h].second, queries[h][0]);
-        EXPECT_EQ(fromCluster.output, expected->result.output);
+        EXPECT_EQ(cluster.unit(h).pendingOutputs(), 1u);
+        const QuantizedAttention datapath(tasks[h].first,
+                                          tasks[h].second, 4, 4);
+        EXPECT_EQ(datapath.run(queries[h][0]).output,
+                  expected->result.output);
     }
 }
 

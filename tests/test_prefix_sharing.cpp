@@ -941,26 +941,6 @@ TEST(DeadlineBudget, GroupsWithoutDeadlinesPublishNoHint)
     EXPECT_EQ(scheduler.stats().deadlineHintedGroups, 0u);
 }
 
-TEST(DeadlineBudget, ShardedBackendForwardsHintToEveryShard)
-{
-    Rng rng(97);
-    const std::size_t d = 8;
-    const Matrix key = randomMatrix(rng, 64, d);
-    const Matrix value = randomMatrix(rng, 64, d);
-
-    // The composite forwards queryDeadlineHint to each shard backend;
-    // the plain kinds default to a no-op, so this just must not
-    // crash and must stay const-callable.
-    ShardedConfig config;
-    config.shardRows = 16;
-    ShardedBackend sharded(configOf(EngineKind::ExactFloat), key,
-                           value, config);
-    ASSERT_EQ(sharded.shardCount(), 4u);
-    const AttentionBackend &asBackend = sharded;
-    asBackend.queryDeadlineHint(0.25);
-    asBackend.queryDeadlineHint(0.0);  // clearing is also fine
-}
-
 // -- Freeze-path compaction -----------------------------------------
 
 TEST(PrefixCompaction, FreezeCompactsAppendSlackWithoutDrift)

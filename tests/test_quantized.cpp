@@ -6,13 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "attention/backend.hpp"
 #include "attention/quantized.hpp"
 #include "attention/reference.hpp"
+#include "fixed/value.hpp"
 #include "kernels/kernels.hpp"
+#include "net/wire.hpp"
 #include "util/random.hpp"
+
+#include "figure5_oracle.hpp"
 
 namespace a3 {
 namespace {
@@ -46,8 +52,8 @@ TEST(QuantizedAttention, WeightsApproximatelySumToOne)
 {
     Rng rng(5000);
     const RandomTask t = makeTask(rng, 30, 16);
-    const QuantizedAttention qa(4, 4, 30, 16);
-    const AttentionResult r = qa.run(t.key, t.value, t.query);
+    const QuantizedAttention qa(t.key, t.value, 4, 4);
+    const AttentionResult r = qa.run(t.query);
     float sum = 0.0f;
     for (float w : r.weights)
         sum += w;
@@ -59,8 +65,8 @@ TEST(QuantizedAttention, MatchesReferenceWithinBoundAtF8)
 {
     Rng rng(5001);
     const RandomTask t = makeTask(rng, 20, 16);
-    const QuantizedAttention qa(4, 8, 20, 16);
-    const AttentionResult q = qa.run(t.key, t.value, t.query);
+    const QuantizedAttention qa(t.key, t.value, 4, 8);
+    const AttentionResult q = qa.run(t.query);
     const AttentionResult ref =
         referenceAttention(t.key, t.value, t.query);
     EXPECT_LT(maxAbsDiff(q.output, ref.output), 0.05f);
@@ -75,8 +81,8 @@ TEST(QuantizedAttention, ErrorDecreasesWithFractionBits)
         Rng trialRng = rng.split();
         for (int trial = 0; trial < 10; ++trial) {
             const RandomTask t = makeTask(trialRng, 24, 16);
-            const QuantizedAttention qa(4, f, 24, 16);
-            const AttentionResult q = qa.run(t.key, t.value, t.query);
+            const QuantizedAttention qa(t.key, t.value, 4, f);
+            const AttentionResult q = qa.run(t.query);
             const AttentionResult ref =
                 referenceAttention(t.key, t.value, t.query);
             worst = std::max(
@@ -94,9 +100,10 @@ TEST(QuantizedAttention, SubsetRunNormalizesOverSubset)
 {
     Rng rng(5003);
     const RandomTask t = makeTask(rng, 16, 8);
-    const QuantizedAttention qa(4, 6, 16, 8);
+    const QuantizedAttention qa(t.key, t.value, 4, 6);
     const std::vector<std::uint32_t> rows{2, 5, 11};
-    const AttentionResult r = qa.run(t.key, t.value, t.query, rows);
+    AttentionResult r;
+    qa.runRowsInto(t.query, rows, r);
     float sum = 0.0f;
     for (std::size_t row = 0; row < 16; ++row) {
         const bool in = std::find(rows.begin(), rows.end(),
@@ -130,8 +137,8 @@ TEST(QuantizedAttention, ExtremeInputsDoNotOverflow)
     for (std::size_t c = 0; c < d; ++c)
         query[c] = (c % 3) ? -16.0f : 15.9375f;
 
-    const QuantizedAttention qa(4, 4, n, d);
-    const AttentionResult r = qa.run(key, value, query);
+    const QuantizedAttention qa(key, value, 4, 4);
+    const AttentionResult r = qa.run(query);
     EXPECT_EQ(r.output.size(), d);
     for (float o : r.output) {
         EXPECT_GE(o, -16.0f - 1e-3f);
@@ -151,8 +158,8 @@ TEST(QuantizedAttention, TopWeightRowAgreesWithReference)
         // Plant a clear winner.
         for (std::size_t c = 0; c < 16; ++c)
             t.key(7, c) = t.query[c] * 0.5f;
-        const QuantizedAttention qa(4, 4, 20, 16);
-        const AttentionResult q = qa.run(t.key, t.value, t.query);
+        const QuantizedAttention qa(t.key, t.value, 4, 4);
+        const AttentionResult q = qa.run(t.query);
         const AttentionResult ref =
             referenceAttention(t.key, t.value, t.query);
         std::size_t qTop = 0;
@@ -170,7 +177,7 @@ TEST(QuantizedAttention, TopWeightRowAgreesWithReference)
 
 TEST(QuantizedAttention, FormatsExposedMatchDerivation)
 {
-    const QuantizedAttention qa(4, 4, 320, 64);
+    const QuantizedAttention qa(Matrix(320, 64), Matrix(320, 64), 4, 4);
     EXPECT_EQ(qa.formats().dotProduct.str(), "Q14.8");
     EXPECT_EQ(qa.formats().output.str(), "Q13.12");
     EXPECT_EQ(qa.expLut().outputFormat().str(), "Q0.8");
@@ -180,9 +187,9 @@ TEST(QuantizedAttention, DeterministicAcrossRuns)
 {
     Rng rng(5005);
     const RandomTask t = makeTask(rng, 12, 8);
-    const QuantizedAttention qa(4, 4, 12, 8);
-    const AttentionResult a = qa.run(t.key, t.value, t.query);
-    const AttentionResult b = qa.run(t.key, t.value, t.query);
+    const QuantizedAttention qa(t.key, t.value, 4, 4);
+    const AttentionResult a = qa.run(t.query);
+    const AttentionResult b = qa.run(t.query);
     EXPECT_EQ(a.output, b.output);
     EXPECT_EQ(a.weights, b.weights);
 }
@@ -261,17 +268,88 @@ TEST(QuantizedPacked, PackedBitIdenticalToWord32)
     }
 }
 
+TEST(QuantizedPacked, EveryLayoutMatchesScalarOracle)
+{
+    Rng rng(5101);
+    const RandomTask t = makeTask(rng, 24, 15);
+    const RandomTask extra = makeTask(rng, 6, 15);
+    Matrix grownKey = t.key;
+    grownKey.appendRows(extra.key);
+    Matrix grownValue = t.value;
+    grownValue.appendRows(extra.value);
+    const std::vector<std::uint32_t> subset{1, 3, 3, 17, 23};
+    const Kernels &original = activeKernels();
+
+    const struct
+    {
+        int intBits;
+        int fracBits;
+        PackedKvFormat layout;
+    } cases[] = {
+        {4, 4, PackedKvFormat::Word32}, {3, 4, PackedKvFormat::Word32},
+        {3, 4, PackedKvFormat::Int8},   {2, 4, PackedKvFormat::Int8},
+        {1, 2, PackedKvFormat::Int4},   {2, 1, PackedKvFormat::Int4},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(std::string("Q") + std::to_string(c.intBits) +
+                     "." + std::to_string(c.fracBits) + " " +
+                     packedKvFormatName(c.layout));
+        EngineConfig config;
+        config.kind = EngineKind::ExactQuantized;
+        config.intBits = c.intBits;
+        config.fracBits = c.fracBits;
+        config.packedKv = c.layout;
+        const QuantizedAttention bound(t.key, t.value, c.intBits,
+                                       c.fracBits, c.layout);
+        ASSERT_EQ(bound.packedFormat(), c.layout);
+
+        // Packed and Word32 lanes, on the best and the scalar tables.
+        for (const Kernels *table : {&original, &scalarKernels()}) {
+            setActiveKernels(*table);
+            expectBitIdentical(bound.run(t.query),
+                               figure5Oracle(t.key, t.value, t.query,
+                                             allRows(24), c.intBits,
+                                             c.fracBits));
+            AttentionResult rowsOut;
+            bound.runRowsInto(t.query, subset, rowsOut);
+            expectBitIdentical(rowsOut,
+                               figure5Oracle(t.key, t.value, t.query,
+                                             subset, c.intBits,
+                                             c.fracBits));
+        }
+        setActiveKernels(original);
+
+        QuantizedAttention grown = bound;
+        grown.append(extra.key, extra.value);
+        expectBitIdentical(grown.run(t.query),
+                           figure5Oracle(grownKey, grownValue, t.query,
+                                         allRows(30), c.intBits,
+                                         c.fracBits));
+
+        WireWriter image;
+        grown.serializeState(image);
+        WireReader reader(image.bytes());
+        const auto restored = deserializeBackend(config, reader);
+        ASSERT_NE(restored, nullptr);
+        expectBitIdentical(restored->run(t.query),
+                           figure5Oracle(grownKey, grownValue, t.query,
+                                         allRows(30), c.intBits,
+                                         c.fracBits));
+    }
+}
+
 TEST(QuantizedPacked, BoundPackedMatchesUnboundPipeline)
 {
     Rng rng(5101);
     const RandomTask t = makeTask(rng, 24, 15);
     for (const PackedCase &pc : kPackedCases) {
-        const QuantizedAttention unbound(pc.intBits, pc.fracBits, 24,
-                                         15);
         const QuantizedAttention bound(t.key, t.value, pc.intBits,
                                        pc.fracBits);
-        expectBitIdentical(unbound.run(t.key, t.value, t.query),
-                           bound.run(t.query));
+        ASSERT_EQ(bound.packedFormat(), pc.format);
+        expectBitIdentical(bound.run(t.query),
+                           figure5Oracle(t.key, t.value, t.query,
+                                         allRows(24), pc.intBits,
+                                         pc.fracBits));
     }
 }
 
@@ -343,22 +421,17 @@ TEST(QuantizedPacked, MemoryFootprintShrinksAsDocumented)
 
     const QuantizedAttention int8(t.key, t.value, 3, 4);
     ASSERT_EQ(int8.packedFormat(), PackedKvFormat::Int8);
-    EXPECT_EQ(int8.memoryBytes(),
-              2 * n * d * sizeof(std::int8_t) + 2 * n * sizeof(float));
-    EXPECT_LE(int8.memoryBytes() * 3, word32.memoryBytes());
+    EXPECT_EQ(int8.memoryBytes(), 2 * n * d * sizeof(std::int8_t));
+    EXPECT_EQ(int8.memoryBytes() * 4, word32.memoryBytes());
 
     // Acceptance bound: int4-packed is <= 1/6 of the int32-word
-    // footprint of the paper-default i=f=4 task.
+    // footprint of the paper-default i=f=4 task (exactly 1/8: the
+    // lanes carry no metadata).
     const QuantizedAttention int4(t.key, t.value, 1, 2);
     ASSERT_EQ(int4.packedFormat(), PackedKvFormat::Int4);
-    EXPECT_EQ(int4.memoryBytes(),
-              2 * n * ((d + 1) / 2) + 2 * n * sizeof(float));
+    EXPECT_EQ(int4.memoryBytes(), 2 * n * ((d + 1) / 2));
     EXPECT_LE(int4.memoryBytes() * 6, word32.memoryBytes());
-
-    // Per-row scale metadata: symmetric quantizer, one scale per row.
-    EXPECT_EQ(int4.keyScales().size(), n);
-    EXPECT_EQ(int4.valueScales().size(), n);
-    EXPECT_FLOAT_EQ(int4.keyScales()[0], 0.25f);  // 2^-fracBits
+    EXPECT_EQ(int4.memoryBytes() * 8, word32.memoryBytes());
 }
 
 TEST(QuantizedPacked, EveryIsaBitIdenticalOnPackedBackends)
@@ -428,7 +501,7 @@ TEST(QuantizedPackedDeath, MakeBackendRejectsTooNarrowLane)
     cfg.intBits = 1;
     cfg.fracBits = 2;  // 4-bit word
     EXPECT_EQ(makeBackend(cfg, t.key, t.value)->memoryBytes(),
-              2 * 8 * 4 + 2 * 8 * sizeof(float));
+              2 * 8 * 4);
 }
 
 }  // namespace

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include "attention/approx_attention.hpp"
 #include "attention/post_scoring.hpp"
+#include "attention/quantized.hpp"
 #include "sim/accelerator.hpp"
 #include "util/random.hpp"
 
@@ -96,11 +98,11 @@ TEST(BaseA3, OutputsMatchFixedPointDatapath)
     A3Accelerator acc(baseConfig(24, 64));
     acc.loadTask(t.key, t.value);
     acc.runAll(t.queries);
+    const QuantizedAttention datapath(t.key, t.value, 4, 4);
     for (std::size_t i = 0; i < t.queries.size(); ++i) {
         auto out = acc.popOutput();
         ASSERT_TRUE(out.has_value());
-        const AttentionResult expected =
-            acc.datapath().run(t.key, t.value, t.queries[i]);
+        const AttentionResult expected = datapath.run(t.queries[i]);
         EXPECT_EQ(out->result.output, expected.output);
         EXPECT_EQ(out->id, i);
     }
@@ -202,6 +204,7 @@ TEST(ApproxA3, OutputsMatchQuantizedSubsetFlow)
         approxConfig(64, 64, ApproxConfig::conservative()));
     acc.loadTask(t.key, t.value);
     acc.runAll(t.queries);
+    const QuantizedAttention datapath(t.key, t.value, 4, 4);
     for (std::size_t i = 0; i < t.queries.size(); ++i) {
         auto out = acc.popOutput();
         ASSERT_TRUE(out.has_value());
@@ -210,16 +213,16 @@ TEST(ApproxA3, OutputsMatchQuantizedSubsetFlow)
                              ApproxConfig::conservative());
         auto search = task.selectCandidates(t.queries[i]);
         ASSERT_FALSE(search.candidates.empty());
-        auto pass = acc.datapath().run(t.key, t.value, t.queries[i],
-                                       search.candidates);
+        AttentionResult pass;
+        datapath.runRowsInto(t.queries[i], search.candidates, pass);
         Vector scores(search.candidates.size());
         for (std::size_t j = 0; j < search.candidates.size(); ++j)
             scores[j] = pass.scores[search.candidates[j]];
         auto kept = postScoringSelect(
             search.candidates, scores,
             ApproxConfig::conservative().scoreGap());
-        auto expected =
-            acc.datapath().run(t.key, t.value, t.queries[i], kept);
+        AttentionResult expected;
+        datapath.runRowsInto(t.queries[i], kept, expected);
         EXPECT_EQ(out->result.output, expected.output);
         EXPECT_EQ(out->keptK, kept.size());
     }
