@@ -9,9 +9,10 @@
  * compare rows that differ only in "kernels", or read the precomputed
  * speedup_vs_scalar field.
  *
- * The quantized rows sweep the packed K/V layouts (word32 foil at the
- * paper-default i=4/f=4, int8 at i=3/f=4, int4 at i=1/f=2) and report
- * the memory side of the story: bytes_per_query is the bound task
+ * The quantized rows sweep the packed K/V layouts (word32 foil and
+ * int16 at the paper-default i=4/f=4, int8 at i=3/f=4, int4 at
+ * i=1/f=2) and report the memory side of the story: bytes_per_query
+ * is the bound task
  * footprint every query streams through, qps_per_gb divides
  * throughput by that footprint (the serving-density figure of merit),
  * and speedup_vs_word32 / bytes_ratio_vs_word32 compare each packed
@@ -51,7 +52,8 @@ using namespace a3;
 struct SweepRow
 {
     std::string backend;
-    /** K/V storage layout: "float32", "word32", "int8", or "int4". */
+    /** K/V storage layout: "float32", "word32", "int16", "int8", or
+     *  "int4". */
     std::string kvFormat;
     std::string kernels;
     std::size_t batch = 0;
@@ -162,18 +164,21 @@ main(int argc, char **argv)
     }
     // reference = the pure float scoring path (dot + softmax +
     // weighted sum, no selection); approx = the paper's software flow;
-    // the quantized trio differs only in K/V lane layout so the packed
+    // the quantized rows differ only in K/V lane layout so the packed
     // columns compare like against like. The word32 foil keeps the
-    // paper-default i=4/f=4; the packed rows use the widest formats
-    // their lanes hold losslessly (Auto resolution).
+    // paper-default i=4/f=4, which Auto binds on the int16 lane; the
+    // narrower rows use the widest formats their lanes hold
+    // losslessly (Auto resolution).
     const ReferenceAttention reference(key, value);
     const ApproxAttention approx(key, value,
                                  ApproxConfig::conservative());
     const QuantizedAttention quantWord32(key, value, 4, 4,
                                          PackedKvFormat::Word32);
+    const QuantizedAttention quantInt16(key, value, 4, 4);
     const QuantizedAttention quantInt8(key, value, 3, 4);
     const QuantizedAttention quantInt4(key, value, 1, 2);
-    a3Assert(quantInt8.packedFormat() == PackedKvFormat::Int8 &&
+    a3Assert(quantInt16.packedFormat() == PackedKvFormat::Int16 &&
+                 quantInt8.packedFormat() == PackedKvFormat::Int8 &&
                  quantInt4.packedFormat() == PackedKvFormat::Int4,
              "Auto did not resolve to the expected packed lanes");
 
@@ -186,6 +191,7 @@ main(int argc, char **argv)
         {&reference, "float32"},
         {&approx, "float32"},
         {&quantWord32, "word32"},
+        {&quantInt16, "int16"},
         {&quantInt8, "int8"},
         {&quantInt4, "int4"}};
 
@@ -235,7 +241,7 @@ main(int argc, char **argv)
 
     // Fill in speedup_vs_scalar on the SIMD rows from the matching
     // scalar row (same backend/layout/threads/batch), and the
-    // packed-vs-word32 ratios on the int8/int4 rows from the word32
+    // packed-vs-word32 ratios on the int16/int8/int4 rows from the word32
     // foil measured with the same kernels/threads/batch.
     for (SweepRow &row : rows) {
         if (row.kernels != "scalar") {
@@ -252,7 +258,8 @@ main(int argc, char **argv)
                 }
             }
         }
-        if (row.kvFormat != "int8" && row.kvFormat != "int4")
+        if (row.kvFormat != "int16" && row.kvFormat != "int8" &&
+            row.kvFormat != "int4")
             continue;
         for (const SweepRow &base : rows) {
             if (base.kvFormat == "word32" &&

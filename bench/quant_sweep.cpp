@@ -28,17 +28,19 @@ namespace {
 
 using namespace a3;
 
+/** The representative 320 x 64 task shape of the kv columns. */
+constexpr std::size_t kShapeRows = 320;
+constexpr std::size_t kShapeDims = 64;
+
 /**
- * Bound-task K/V bytes at the representative 320 x 64 shape: the key
- * and value lane arrays (QuantizedAttention::memoryBytes mirrors
- * this).
+ * Bound-task K/V bytes at the representative shape: the key and value
+ * lane arrays (QuantizedAttention::memoryBytes mirrors this).
  */
 std::string
 kvBytesAt320x64(PackedKvFormat resolved)
 {
-    const std::size_t n = 320;
-    const std::size_t d = 64;
-    return std::to_string(2 * n * packedRowBytes(resolved, d));
+    return std::to_string(2 * kShapeRows *
+                          packedRowBytes(resolved, kShapeDims));
 }
 
 }  // namespace
@@ -79,7 +81,7 @@ main()
             cfg.intBits = p.intBits;
             cfg.fracBits = p.fracBits;
             const PackedKvFormat resolved = resolvePackedKvFormat(
-                cfg.packedKv, p.intBits, p.fracBits);
+                cfg.packedKv, p.intBits, p.fracBits, kShapeDims);
             const AccuracyReport r =
                 evaluateAccuracy(w, cfg, episodes, bench::benchSeed);
             table.addRow({"i=" + std::to_string(p.intBits) +

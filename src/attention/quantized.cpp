@@ -1,5 +1,6 @@
 #include "attention/quantized.hpp"
 
+#include <cstring>
 #include <numeric>
 #include <type_traits>
 #include <utility>
@@ -19,14 +20,11 @@ QuantizedAttention::QuantizedAttention(int intBits, int fracBits,
       lut_(2 * fracBits, 2 * fracBits), rows_(rows), dims_(dims),
       packed_(packed)
 {
-    if (packed_ != PackedKvFormat::Word32) {
-        // The packed kernels accumulate in int32; the derived dot
-        // format must fit (it always does for byte-narrow words at
-        // any realistic d — this guards absurd dimensions).
-        a3Assert(formats_.dotProduct.totalBits() <= 32,
-                 "dot-product format exceeds the packed kernels' "
-                 "32-bit accumulator; use PackedKvFormat::Word32");
-    }
+    // The packed kernels run int32 dot accumulators and int32 axpy
+    // products; resolution only picks a packed lane where both fit.
+    a3Assert(packedKvLaneHolds(packed_, intBits, fracBits, dims),
+             "packed K/V lane ", packedKvFormatName(packed_),
+             " cannot serve this task; use PackedKvFormat::Word32");
 }
 
 QuantizedAttention::QuantizedAttention(Matrix key, Matrix value,
@@ -34,7 +32,8 @@ QuantizedAttention::QuantizedAttention(Matrix key, Matrix value,
                                        PackedKvFormat packedKv)
     : QuantizedAttention(
           intBits, fracBits, key.rows(), key.cols(),
-          resolvePackedKvFormat(packedKv, intBits, fracBits))
+          resolvePackedKvFormat(packedKv, intBits, fracBits,
+                                key.cols()))
 {
     a3Assert(key.rows() == value.rows() && key.cols() == value.cols(),
              "key/value shape mismatch");
@@ -49,56 +48,64 @@ QuantizedAttention::QuantizedAttention(Matrix key, Matrix value,
     Scratch::forThread().reserveTask(rows_, dims_);
 }
 
+template <typename Self, typename Visitor>
+void
+QuantizedAttention::visitLanes(Self &self, Visitor &&visit)
+{
+    switch (self.packed_) {
+    case PackedKvFormat::Word32:
+        visit(self.keyQ_, self.valueQ_);
+        return;
+    case PackedKvFormat::Int16:
+        visit(self.keyQ16_, self.valueQ16_);
+        return;
+    case PackedKvFormat::Int8:
+        visit(self.keyQ8_, self.valueQ8_);
+        return;
+    case PackedKvFormat::Int4:
+        visit(self.keyQ4_, self.valueQ4_);
+        return;
+    case PackedKvFormat::Auto:
+        break;
+    }
+    panic("bound datapath cannot hold an unresolved layout");
+}
+
 void
 QuantizedAttention::packRows(const Matrix &keyRows,
                              const Matrix &valueRows, std::size_t count)
 {
     const FixedFormat inFmt = formats_.input;
     const std::size_t d = dims_;
-    switch (packed_) {
-    case PackedKvFormat::Word32:
-        keyQ_.reserve(keyQ_.size() + count * d);
-        valueQ_.reserve(valueQ_.size() + count * d);
-        for (std::size_t i = 0; i < count * d; ++i) {
-            keyQ_.push_back(static_cast<std::int32_t>(
-                inFmt.quantize(keyRows.data()[i])));
-            valueQ_.push_back(static_cast<std::int32_t>(
-                inFmt.quantize(valueRows.data()[i])));
-        }
-        break;
-    case PackedKvFormat::Int8:
-        keyQ8_.reserve(keyQ8_.size() + count * d);
-        valueQ8_.reserve(valueQ8_.size() + count * d);
-        for (std::size_t i = 0; i < count * d; ++i) {
-            keyQ8_.push_back(static_cast<std::int8_t>(
-                inFmt.quantize(keyRows.data()[i])));
-            valueQ8_.push_back(static_cast<std::int8_t>(
-                inFmt.quantize(valueRows.data()[i])));
-        }
-        break;
-    case PackedKvFormat::Int4: {
-        const std::size_t rowBytes = (d + 1) / 2;
-        keyQ4_.reserve(keyQ4_.size() + count * rowBytes);
-        valueQ4_.reserve(valueQ4_.size() + count * rowBytes);
-        for (std::size_t r = 0; r < count; ++r) {
-            for (std::size_t j = 0; j < d; j += 2) {
-                const auto lane = [&](const Matrix &m,
-                                      std::size_t col) -> std::int8_t {
-                    return col < d ? static_cast<std::int8_t>(
-                                         inFmt.quantize(m(r, col)))
-                                   : std::int8_t{0};
-                };
-                keyQ4_.push_back(packNibblePair(lane(keyRows, j),
-                                                lane(keyRows, j + 1)));
-                valueQ4_.push_back(packNibblePair(
-                    lane(valueRows, j), lane(valueRows, j + 1)));
+    const std::size_t rowBytes = packedRowBytes(packed_, d);
+    visitLanes(*this, [&](auto &keyLanes, auto &valueLanes) {
+        using Lane =
+            typename std::decay_t<decltype(keyLanes)>::value_type;
+        const auto pack = [&](const Matrix &m, std::vector<Lane> &lanes) {
+            lanes.reserve(lanes.size() + count * rowBytes / sizeof(Lane));
+            if constexpr (std::is_same_v<Lane, std::uint8_t>) {
+                // Nibble lanes: each row starts on its own byte.
+                for (std::size_t r = 0; r < count; ++r) {
+                    for (std::size_t j = 0; j < d; j += 2) {
+                        const auto lane =
+                            [&](std::size_t col) -> std::int8_t {
+                            return col < d ? static_cast<std::int8_t>(
+                                                 inFmt.quantize(m(r, col)))
+                                           : std::int8_t{0};
+                        };
+                        lanes.push_back(
+                            packNibblePair(lane(j), lane(j + 1)));
+                    }
+                }
+            } else {
+                for (std::size_t i = 0; i < count * d; ++i)
+                    lanes.push_back(
+                        static_cast<Lane>(inFmt.quantize(m.data()[i])));
             }
-        }
-        break;
-    }
-    case PackedKvFormat::Auto:
-        panic("packed_ must be resolved before packRows()");
-    }
+        };
+        pack(keyRows, keyLanes);
+        pack(valueRows, valueLanes);
+    });
 }
 
 void
@@ -119,7 +126,8 @@ QuantizedAttention::append(const Matrix &keyRows, const Matrix &valueRows)
     // Re-derive the stage widths for the grown n: only the expSum and
     // output capacity annotations change — every fraction width stays,
     // so existing words and future results are unaffected beyond the
-    // larger legal range.
+    // larger legal range. The lane layout depends on d alone, so it
+    // stays valid.
     formats_ = PipelineFormats::derive(inFmt.intBits, inFmt.fracBits,
                                        rows_, dims_);
     Scratch::forThread().reserveTask(rows_, dims_);
@@ -138,20 +146,55 @@ std::size_t
 QuantizedAttention::compact()
 {
     std::size_t reclaimed = 0;
-    const auto shrink = [&reclaimed](auto &lane) {
-        using Elem = typename std::decay_t<decltype(lane)>::value_type;
-        const std::size_t before = lane.capacity();
-        lane.shrink_to_fit();
-        reclaimed += (before - lane.capacity()) * sizeof(Elem);
-    };
-    shrink(keyQ_);
-    shrink(valueQ_);
-    shrink(keyQ8_);
-    shrink(valueQ8_);
-    shrink(keyQ4_);
-    shrink(valueQ4_);
+    visitLanes(*this, [&reclaimed](auto &keyLanes, auto &valueLanes) {
+        for (auto *lanes : {&keyLanes, &valueLanes}) {
+            const std::size_t before = lanes->capacity();
+            lanes->shrink_to_fit();
+            reclaimed += (before - lanes->capacity()) *
+                         sizeof(lanes->front());
+        }
+    });
     return reclaimed;
 }
+
+namespace {
+
+/**
+ * One side's lanes on the wire: a length-prefixed array at the lane's
+ * own width (u32s for Word32 words, u16s for int16 lanes, a blob for
+ * byte lanes), as two's-complement bit patterns.
+ */
+template <typename Lane>
+void
+writeLanes(WireWriter &out, const std::vector<Lane> &lanes)
+{
+    using Wire = std::make_unsigned_t<Lane>;
+    const auto *wire = reinterpret_cast<const Wire *>(lanes.data());
+    if constexpr (sizeof(Lane) == 4)
+        out.u32s(wire, lanes.size());
+    else if constexpr (sizeof(Lane) == 2)
+        out.u16s(wire, lanes.size());
+    else
+        out.blob(wire, lanes.size());
+}
+
+/** Inverse of writeLanes(). */
+template <typename Lane>
+void
+readLanes(WireReader &in, std::vector<Lane> &lanes)
+{
+    std::vector<std::make_unsigned_t<Lane>> wire;
+    if constexpr (sizeof(Lane) == 4)
+        in.u32s(wire);
+    else if constexpr (sizeof(Lane) == 2)
+        in.u16s(wire);
+    else
+        in.blob(wire);
+    lanes.resize(wire.size());
+    std::memcpy(lanes.data(), wire.data(), wire.size() * sizeof(Lane));
+}
+
+}  // namespace
 
 void
 QuantizedAttention::serializeState(WireWriter &out) const
@@ -159,29 +202,10 @@ QuantizedAttention::serializeState(WireWriter &out) const
     out.u64(rows_);
     out.u64(dims_);
     out.u8(static_cast<std::uint8_t>(packed_));
-    switch (packed_) {
-    case PackedKvFormat::Word32:
-        // int32 words travel as their two's-complement bit patterns.
-        out.u32s(reinterpret_cast<const std::uint32_t *>(keyQ_.data()),
-                 keyQ_.size());
-        out.u32s(
-            reinterpret_cast<const std::uint32_t *>(valueQ_.data()),
-            valueQ_.size());
-        break;
-    case PackedKvFormat::Int8:
-        out.blob(reinterpret_cast<const std::uint8_t *>(keyQ8_.data()),
-                 keyQ8_.size());
-        out.blob(
-            reinterpret_cast<const std::uint8_t *>(valueQ8_.data()),
-            valueQ8_.size());
-        break;
-    case PackedKvFormat::Int4:
-        out.blob(keyQ4_.data(), keyQ4_.size());
-        out.blob(valueQ4_.data(), valueQ4_.size());
-        break;
-    case PackedKvFormat::Auto:
-        panic("bound datapath cannot hold an unresolved layout");
-    }
+    visitLanes(*this, [&out](const auto &keyLanes, const auto &valueLanes) {
+        writeLanes(out, keyLanes);
+        writeLanes(out, valueLanes);
+    });
 }
 
 std::unique_ptr<QuantizedAttention>
@@ -192,71 +216,30 @@ QuantizedAttention::restore(const EngineConfig &config, WireReader &in)
     const std::uint8_t packedRaw = in.u8();
     if (!in.ok() || rows == 0 || dims == 0)
         return nullptr;
-    const PackedKvFormat expected = resolvePackedKvFormat(
-        config.packedKv, config.intBits, config.fracBits);
-    if (packedRaw != static_cast<std::uint8_t>(expected))
+    const std::size_t n = static_cast<std::size_t>(rows);
+    const std::size_t d = static_cast<std::size_t>(dims);
+    const PackedKvFormat expected = tryResolvePackedKvFormat(
+        config.packedKv, config.intBits, config.fracBits, d);
+    if (expected == PackedKvFormat::Auto ||
+        packedRaw != static_cast<std::uint8_t>(expected))
         return nullptr;
 
     // Re-derive the stage formats and the exponent LUT — both
     // deterministic functions of the config and shape, so recomputing
     // them is bit-identical to the original.
-    const std::size_t n = static_cast<std::size_t>(rows);
-    const std::size_t d = static_cast<std::size_t>(dims);
     std::unique_ptr<QuantizedAttention> backend(new QuantizedAttention(
         config.intBits, config.fracBits, n, d, expected));
 
-    std::size_t laneCount = 0;
-    switch (expected) {
-    case PackedKvFormat::Word32: {
-        std::vector<std::uint32_t> words;
-        in.u32s(words);
-        laneCount = words.size();
-        backend->keyQ_.assign(
-            reinterpret_cast<const std::int32_t *>(words.data()),
-            reinterpret_cast<const std::int32_t *>(words.data()) +
-                words.size());
-        in.u32s(words);
-        if (words.size() != laneCount)
-            return nullptr;
-        backend->valueQ_.assign(
-            reinterpret_cast<const std::int32_t *>(words.data()),
-            reinterpret_cast<const std::int32_t *>(words.data()) +
-                words.size());
-        if (laneCount != n * d)
-            return nullptr;
-        break;
-    }
-    case PackedKvFormat::Int8: {
-        std::vector<std::uint8_t> bytes;
-        in.blob(bytes);
-        laneCount = bytes.size();
-        backend->keyQ8_.assign(
-            reinterpret_cast<const std::int8_t *>(bytes.data()),
-            reinterpret_cast<const std::int8_t *>(bytes.data()) +
-                bytes.size());
-        in.blob(bytes);
-        if (bytes.size() != laneCount)
-            return nullptr;
-        backend->valueQ8_.assign(
-            reinterpret_cast<const std::int8_t *>(bytes.data()),
-            reinterpret_cast<const std::int8_t *>(bytes.data()) +
-                bytes.size());
-        if (laneCount != n * d)
-            return nullptr;
-        break;
-    }
-    case PackedKvFormat::Int4:
-        in.blob(backend->keyQ4_);
-        in.blob(backend->valueQ4_);
-        laneCount = backend->keyQ4_.size();
-        if (backend->valueQ4_.size() != laneCount ||
-            laneCount != n * ((d + 1) / 2))
-            return nullptr;
-        break;
-    case PackedKvFormat::Auto:
-        return nullptr;
-    }
-    if (!in.ok())
+    bool complete = false;
+    visitLanes(*backend, [&](auto &keyLanes, auto &valueLanes) {
+        readLanes(in, keyLanes);
+        readLanes(in, valueLanes);
+        const std::size_t perRow =
+            packedRowBytes(expected, d) / sizeof(keyLanes.front());
+        complete = in.ok() && keyLanes.size() == n * perRow &&
+                   valueLanes.size() == keyLanes.size();
+    });
+    if (!complete)
         return nullptr;
 
     Scratch::forThread().reserveTask(n, d);
@@ -266,9 +249,13 @@ QuantizedAttention::restore(const EngineConfig &config, WireReader &in)
 std::size_t
 QuantizedAttention::memoryBytes() const
 {
-    return (keyQ_.size() + valueQ_.size()) * sizeof(std::int32_t) +
-           (keyQ8_.size() + valueQ8_.size()) * sizeof(std::int8_t) +
-           (keyQ4_.size() + valueQ4_.size()) * sizeof(std::uint8_t);
+    std::size_t bytes = 0;
+    visitLanes(*this, [&bytes](const auto &keyLanes,
+                               const auto &valueLanes) {
+        bytes = (keyLanes.size() + valueLanes.size()) *
+                sizeof(keyLanes.front());
+    });
+    return bytes;
 }
 
 void
@@ -318,18 +305,27 @@ QuantizedAttention::runCore(const Vector &query,
     dotQ.resize(m);
     std::int64_t maxDot = 0;
     if (packedLanes) {
-        std::vector<std::int8_t> &queryQ8 = scratch.queryQ8;
-        queryQ8.resize(d);
-        for (std::size_t j = 0; j < d; ++j)
-            queryQ8[j] = static_cast<std::int8_t>(queryQ[j]);
         std::vector<std::int32_t> &dot32 = scratch.dotQ32;
         dot32.resize(m);
-        if (packed_ == PackedKvFormat::Int8)
-            kern.gatherDotI8(keyQ8_.data(), d, rows.data(), m,
-                             queryQ8.data(), dot32.data());
-        else
-            kern.gatherDotI4(keyQ4_.data(), d, rows.data(), m,
-                             queryQ8.data(), dot32.data());
+        if (packed_ == PackedKvFormat::Int16) {
+            std::vector<std::int16_t> &queryQ16 = scratch.queryQ16;
+            queryQ16.resize(d);
+            for (std::size_t j = 0; j < d; ++j)
+                queryQ16[j] = static_cast<std::int16_t>(queryQ[j]);
+            kern.gatherDotI16(keyQ16_.data(), d, rows.data(), m,
+                              queryQ16.data(), dot32.data());
+        } else {
+            std::vector<std::int8_t> &queryQ8 = scratch.queryQ8;
+            queryQ8.resize(d);
+            for (std::size_t j = 0; j < d; ++j)
+                queryQ8[j] = static_cast<std::int8_t>(queryQ[j]);
+            if (packed_ == PackedKvFormat::Int8)
+                kern.gatherDotI8(keyQ8_.data(), d, rows.data(), m,
+                                 queryQ8.data(), dot32.data());
+            else
+                kern.gatherDotI4(keyQ4_.data(), d, rows.data(), m,
+                                 queryQ8.data(), dot32.data());
+        }
         for (std::size_t i = 0; i < m; ++i) {
             const std::int64_t sum = dot32[i];
             a3Assert(formats_.dotProduct.fits(sum),
@@ -395,11 +391,14 @@ QuantizedAttention::runCore(const Vector &query,
             static_cast<float>(static_cast<double>(dotQ[i]) * dotScale);
         result.weights[r] = static_cast<float>(weightV.toDouble());
         if (packedLanes) {
-            // Fused dequant-dot accumulation on the packed bytes:
+            // Fused dequant-dot accumulation on the packed lanes:
             // product.raw below is weightV.raw * vq, which is exactly
-            // what axpyI8/I4 accumulate (the weight format (0, 2f)
-            // keeps |w| far under the kernels' 2^24 contract).
-            if (packed_ == PackedKvFormat::Int8)
+            // what axpyI16/I8/I4 accumulate (lane resolution keeps
+            // every such product inside the kernels' int32 contract).
+            if (packed_ == PackedKvFormat::Int16)
+                kern.axpyI16(weightV.raw, valueQ16_.data() + r * d,
+                             outQ.data(), d);
+            else if (packed_ == PackedKvFormat::Int8)
                 kern.axpyI8(weightV.raw, valueQ8_.data() + r * d,
                             outQ.data(), d);
             else

@@ -40,13 +40,13 @@ class QuantizedAttention final : public AttentionBackend
      * into the accelerator SRAM exactly once per task).
      *
      * `packedKv` chooses the SRAM lane layout (fixed/packed.hpp):
-     * Auto packs to the narrowest lossless lane for the input format,
-     * so narrow configurations get the 4-8x footprint shrink and the
-     * packed SIMD kernels without any call-site change. Packing is
-     * lossless — the packed lanes hold the exact quantized words the
-     * int32-word layout holds — so results are bit-identical across
-     * layouts. An explicit Int8/Int4 request too narrow for the input
-     * word fatal()s.
+     * Auto packs to the narrowest lossless lane for the input format
+     * and task width, so every configuration up to 16-bit words gets
+     * the 2-8x footprint shrink and the packed SIMD kernels without
+     * any call-site change. Packing is lossless — the packed lanes
+     * hold the exact quantized words the int32-word layout holds — so
+     * results are bit-identical across layouts. An explicit packed
+     * request the lane cannot hold fatal()s.
      */
     QuantizedAttention(Matrix key, Matrix value, int intBits,
                        int fracBits,
@@ -140,6 +140,11 @@ class QuantizedAttention final : public AttentionBackend
     void packRows(const Matrix &keyRows, const Matrix &valueRows,
                   std::size_t count);
 
+    /** visit(keyLanes, valueLanes) on the populated lane pair of the
+     *  resolved layout (`self` is *this, const or not). */
+    template <typename Self, typename Visitor>
+    static void visitLanes(Self &self, Visitor &&visit);
+
     PipelineFormats formats_;
     ExpLut lut_;
     std::size_t rows_;
@@ -149,7 +154,7 @@ class QuantizedAttention final : public AttentionBackend
      * Row-major pre-quantized words of the bound task (n x d), in the
      * resolved packed_ layout. The float matrices are not retained:
      * the datapath models the accelerator SRAM, which holds only
-     * quantized words. Exactly one of the three lane arrays per side
+     * quantized words. Exactly one of the four lane arrays per side
      * is populated; all layouts are lossless (an input word has
      * intBits + fracBits + 1 bits, which the resolved lane always
      * covers), so the layouts are bit-identical in results and differ
@@ -157,6 +162,8 @@ class QuantizedAttention final : public AttentionBackend
      */
     std::vector<std::int32_t> keyQ_;
     std::vector<std::int32_t> valueQ_;
+    std::vector<std::int16_t> keyQ16_;
+    std::vector<std::int16_t> valueQ16_;
     std::vector<std::int8_t> keyQ8_;
     std::vector<std::int8_t> valueQ8_;
     /** Nibble-packed int4 lanes, (dims + 1) / 2 bytes per row. */

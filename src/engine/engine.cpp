@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <utility>
 
+#include "kernels/scratch.hpp"
 #include "util/logging.hpp"
 
 namespace a3 {
@@ -120,6 +121,11 @@ runFlattened(const ThreadPool &pool,
         const GroupView &view = views[item.group];
         const Vector &query = (*view.queries)[item.query];
         AttentionResult &slot = (*view.results)[item.query];
+        // Size this lane's arena for the whole task before the unit
+        // runs, so a lane allocates on its first unit of a task and
+        // never again, whatever candidate sets later units meet.
+        Scratch::forThread().reserveTask(view.backend->rows(),
+                                         view.backend->dims());
         if (unitCount[item.group] == 1) {
             // The backend's exact sequential path — required for the
             // single-unit bit-identity guarantee.
@@ -185,6 +191,8 @@ AttentionEngine::runInto(const AttentionBackend &backend,
             std::vector<AttentionResult> *results;
         } ctx{&backend, &queries, &results};
         pool_.parallelFor(queries.size(), [&ctx](std::size_t i) {
+            Scratch::forThread().reserveTask(ctx.backend->rows(),
+                                             ctx.backend->dims());
             ctx.backend->runInto((*ctx.queries)[i], (*ctx.results)[i]);
         });
         return;

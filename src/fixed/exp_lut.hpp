@@ -16,6 +16,17 @@
  * Inputs whose magnitude exceeds the underflow threshold — where e^x is
  * smaller than half an output LSB — short-circuit to zero, which also
  * bounds the number of index bits the tables must cover.
+ *
+ * The lookup is not monotone. Each half-table entry is rounded on its
+ * own and the product is truncated, so at a few inputs the score falls
+ * by one output LSB as the input rises: ExpLut(8, 8), the table of the
+ * paper's f = 4 pipeline, has 22 such points over its whole input
+ * range (the first at raw -1568), each a drop of exactly 1 LSB
+ * (pinned by ExpLut.PaperFormatNonMonotonePointsPinned). The error
+ * against e^x stays inside maxAbsError(); a row with a smaller dot
+ * product can still receive a larger weight. This is a property of
+ * the paper's two-half design, which this model reproduces rather
+ * than corrects.
  */
 
 #ifndef A3_FIXED_EXP_LUT_HPP

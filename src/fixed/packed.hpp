@@ -5,10 +5,11 @@
  * A quantized input word carries intBits + fracBits + 1 bits (sign
  * included), which for every deployable configuration is far below the
  * 32 bits the legacy one-word-per-lane layout spends on it. Packing
- * the words densely — one byte per lane, or two 4-bit lanes per byte
- * — shrinks the bound K/V footprint 4-8x: what the SessionCache
- * byte budget, the sharded streaming volume, and the memory-bound hot
- * loops actually pay for.
+ * the words densely — two bytes per lane, one byte per lane, or two
+ * 4-bit lanes per byte — shrinks the bound K/V footprint 2-8x: what
+ * the SessionCache byte budget, the sharded streaming volume, and the
+ * memory-bound hot loops actually pay for. The paper's default
+ * i = f = 4 is a 9-bit word, so it lands on the int16 lane.
  *
  * Packing is always lossless: a lane stores the exact two's-complement
  * quantized word, so the packed pipelines are bit-identical to the
@@ -25,29 +26,57 @@
 
 namespace a3 {
 
-/** Storage layout of the quantized key/value lanes. */
+/**
+ * Storage layout of the quantized key/value lanes. The enumerator
+ * values are the layout bytes of shard images and BindShard frames,
+ * so new layouts are appended, never inserted.
+ */
 enum class PackedKvFormat {
     Auto,    ///< narrowest lossless lane for the input format
     Word32,  ///< legacy layout: one int32 word per lane
     Int8,    ///< one byte per lane (input word <= 8 bits)
     Int4,    ///< two nibble lanes per byte (input word <= 4 bits)
+    Int16,   ///< two bytes per lane (input word <= 16 bits)
 };
 
-/** Stable lowercase name ("auto", "word32", "int8", "int4"). */
+/** Stable lowercase name ("auto", "word32", "int8", "int4", "int16"). */
 const char *packedKvFormatName(PackedKvFormat format);
 
-/** Lane width in bits (32 / 8 / 4); 0 for Auto. */
+/** Lane width in bits (32 / 16 / 8 / 4); 0 for Auto. */
 int packedKvLaneBits(PackedKvFormat format);
 
 /**
- * Resolve the storage layout for an input format of intBits.fracBits:
- * Auto picks the narrowest lane the word fits losslessly; an explicit
- * Int8/Int4 request whose input word (intBits + fracBits + 1) exceeds
- * the lane width is a user error and fatal()s — packing never
- * requantizes, so a too-narrow lane cannot be honored.
+ * Whether the packed lane `format` can carry a Q(intBits).(fracBits)
+ * task of `dims` columns: the input word (intBits + fracBits + 1
+ * bits) fits the lane, and the packed kernels' int32 arithmetic
+ * cannot overflow — the dot-product format (2i + ceil(log2 d), 2f)
+ * fits 32 bits, and so does every axpy product w * x (a weight of at
+ * most 2^(2f) times a lane of magnitude below 2^(i+f), so
+ * i + 3f <= 31). Word32 runs on int64 loops and always qualifies;
+ * Auto never does.
+ */
+bool packedKvLaneHolds(PackedKvFormat format, int intBits, int fracBits,
+                       std::size_t dims);
+
+/**
+ * Resolve the storage layout for a `dims`-column task with input
+ * format intBits.fracBits: Auto picks the narrowest lane that
+ * packedKvLaneHolds(), falling back to Word32; an explicit request
+ * resolves to itself. An explicit packed request the lane cannot
+ * hold is a user error and fatal()s — packing never requantizes, so
+ * a too-narrow lane cannot be honored.
  */
 PackedKvFormat resolvePackedKvFormat(PackedKvFormat requested,
-                                     int intBits, int fracBits);
+                                     int intBits, int fracBits,
+                                     std::size_t dims);
+
+/**
+ * resolvePackedKvFormat() for untrusted input (spill images, wire
+ * configs): returns Auto where resolvePackedKvFormat() would fatal().
+ */
+PackedKvFormat tryResolvePackedKvFormat(PackedKvFormat requested,
+                                        int intBits, int fracBits,
+                                        std::size_t dims);
 
 /** Bytes one packed row of `dims` lanes occupies in `format`. */
 std::size_t packedRowBytes(PackedKvFormat format, std::size_t dims);

@@ -35,6 +35,8 @@ scalarKernels()
         dotI8Scalar,       gatherDotI8Scalar,
         dotI4Scalar,       gatherDotI4Scalar,
         axpyI8Scalar,      axpyI4Scalar,
+        dotI16Scalar,      gatherDotI16Scalar,
+        axpyI16Scalar,
     };
     return table;
 }

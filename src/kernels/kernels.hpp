@@ -34,11 +34,12 @@
  *    polynomial exp. These agree with the scalar kernel to ~1e-6
  *    relative error and are themselves run-to-run deterministic for a
  *    fixed table choice.
- *  - The packed integer kernels — dotI8 / gatherDotI8 / dotI4 /
- *    gatherDotI4 / axpyI8 / axpyI4 — compute exact integer sums, so
- *    despite reassociating they are bit-identical across every table
- *    (integer addition is associative). They form a third, strongest
- *    class: exact on all ISAs, not merely order-preserving.
+ *  - The packed integer kernels — dotI16 / gatherDotI16 / dotI8 /
+ *    gatherDotI8 / dotI4 / gatherDotI4 / axpyI16 / axpyI8 / axpyI4 —
+ *    compute exact integer sums, so despite reassociating they are
+ *    bit-identical across every table (integer addition is
+ *    associative). They form a third, strongest class: exact on all
+ *    ISAs, not merely order-preserving.
  *
  * All kernels assume finite inputs (the attention library never feeds
  * them NaN or infinity); behavior on non-finite values is unspecified
@@ -120,18 +121,20 @@ struct Kernels
                               float *out);
 
     /*
-     * Packed low-bit kernels. These MAC directly on the packed int8 /
-     * nibble-packed int4 K/V lanes of the quantized backends and
-     * dequantize only at the accumulator. All of them compute exact
-     * integer sums and are bit-identical across every table.
+     * Packed low-bit kernels. These MAC directly on the packed int16 /
+     * int8 / nibble-packed int4 K/V lanes of the quantized backends
+     * and dequantize only at the accumulator. All of them compute
+     * exact integer sums and are bit-identical across every table.
      *
-     * Preconditions (guaranteed by the quantized storage layer):
-     * lanes lie in the symmetric range [-127, 127] (int8) or [-7, 7]
-     * (int4) — -128 never occurs, so the AVX2 maddubs sign-trick
-     * pairing cannot saturate — and the quantized dot format
-     * (2i + ceil(log2 d) int bits, 2f frac bits) fits 32 bits, so an
-     * int32 accumulator cannot overflow. Nibble rows use the layout
-     * of fixed/packed.hpp: element 2k in the low nibble, 2k+1 in the
+     * Preconditions (guaranteed by the quantized storage layer, see
+     * packedKvLaneHolds() in fixed/packed.hpp): lanes lie in the
+     * symmetric range [-32767, 32767] (int16), [-127, 127] (int8) or
+     * [-7, 7] (int4) — the most negative code never occurs, so the
+     * madd pair sums and the AVX2 maddubs sign-trick pairing cannot
+     * saturate — and the quantized dot format (2i + ceil(log2 d) int
+     * bits, 2f frac bits) fits 32 bits, so an int32 accumulator
+     * cannot overflow. Nibble rows use the layout of
+     * fixed/packed.hpp: element 2k in the low nibble, 2k+1 in the
      * high nibble of byte k, odd tail in a low nibble with the high
      * nibble zero.
      */
@@ -166,6 +169,23 @@ struct Kernels
     /** Nibble-packed variant of axpyI8 (x holds ceil(n/2) bytes). */
     void (*axpyI4)(std::int64_t w, const std::uint8_t *x,
                    std::int64_t *y, std::size_t n);
+
+    /** sum_i a[i] * b[i] over int16 lanes (exact on every table). */
+    std::int32_t (*dotI16)(const std::int16_t *a, const std::int16_t *b,
+                           std::size_t n);
+
+    /** out[i] = dotI16(mat row rows[i], q); rows hold dims lanes. */
+    void (*gatherDotI16)(const std::int16_t *mat, std::size_t dims,
+                         const std::uint32_t *rows, std::size_t count,
+                         const std::int16_t *q, std::int32_t *out);
+
+    /**
+     * int16 variant of axpyI8. Instead of the |w| < 2^24 bound, every
+     * product w * x[j] must fit int32 (the weight format (0, 2f)
+     * against an i.f lane guarantees it whenever i + 3f <= 31).
+     */
+    void (*axpyI16)(std::int64_t w, const std::int16_t *x,
+                    std::int64_t *y, std::size_t n);
 };
 
 /** The portable reference table (always available). */

@@ -305,16 +305,51 @@ gatherDotI4Avx2(const std::uint8_t *mat, std::size_t dims,
         out[i] = dotI4Avx2(mat + rows[i] * rowBytes, q, dims);
 }
 
+std::int32_t
+dotI16Avx2(const std::int16_t *a, const std::int16_t *b, std::size_t n)
+{
+    // madd pair sums stay below 2 * 32767^2 < 2^31: the quantized
+    // lanes never hold -32768.
+    const auto load = [](const std::int16_t *p) {
+        return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p));
+    };
+    __m256i acc0 = _mm256_setzero_si256();
+    __m256i acc1 = _mm256_setzero_si256();
+    std::size_t i = 0;
+    for (; i + 32 <= n; i += 32) {
+        acc0 = _mm256_add_epi32(
+            acc0, _mm256_madd_epi16(load(a + i), load(b + i)));
+        acc1 = _mm256_add_epi32(
+            acc1, _mm256_madd_epi16(load(a + i + 16), load(b + i + 16)));
+    }
+    if (i + 16 <= n) {
+        acc0 = _mm256_add_epi32(
+            acc0, _mm256_madd_epi16(load(a + i), load(b + i)));
+        i += 16;
+    }
+    return hsumEpi32Avx2(_mm256_add_epi32(acc0, acc1)) +
+           dotI16Scalar(a + i, b + i, n - i);
+}
+
+void
+gatherDotI16Avx2(const std::int16_t *mat, std::size_t dims,
+                 const std::uint32_t *rows, std::size_t count,
+                 const std::int16_t *q, std::int32_t *out)
+{
+    for (std::size_t i = 0; i < count; ++i)
+        out[i] = dotI16Avx2(mat + rows[i] * dims, q, dims);
+}
+
 /**
- * y[j] += w * x[j] for 8 int8 lanes widened to int64. |w| < 2^24
- * (kernel contract) keeps the 32-bit products exact.
+ * y[j] += w * x[j] for 8 lanes already widened to int32. The kernel
+ * contract (|w| < 2^24 for int8 / int4 lanes, an int32 product for
+ * int16 lanes) keeps the 32-bit products exact.
  */
 void
-accumWiden8Avx2(std::int64_t w, __m128i x8, std::int64_t *y)
+accumWiden8Avx2(std::int64_t w, __m256i x32, std::int64_t *y)
 {
     const __m256i vw =
         _mm256_set1_epi32(static_cast<std::int32_t>(w));
-    const __m256i x32 = _mm256_cvtepi8_epi32(x8);
     const __m256i p32 = _mm256_mullo_epi32(x32, vw);
     const __m256i p64lo =
         _mm256_cvtepi32_epi64(_mm256_castsi256_si128(p32));
@@ -336,9 +371,24 @@ axpyI8Avx2(std::int64_t w, const std::int8_t *x, std::int64_t *y,
     for (; j + 8 <= n; j += 8)
         accumWiden8Avx2(
             w,
-            _mm_loadl_epi64(reinterpret_cast<const __m128i *>(x + j)),
+            _mm256_cvtepi8_epi32(_mm_loadl_epi64(
+                reinterpret_cast<const __m128i *>(x + j))),
             y + j);
     axpyI8Scalar(w, x + j, y + j, n - j);
+}
+
+void
+axpyI16Avx2(std::int64_t w, const std::int16_t *x, std::int64_t *y,
+            std::size_t n)
+{
+    std::size_t j = 0;
+    for (; j + 8 <= n; j += 8)
+        accumWiden8Avx2(
+            w,
+            _mm256_cvtepi16_epi32(_mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(x + j))),
+            y + j);
+    axpyI16Scalar(w, x + j, y + j, n - j);
 }
 
 void
@@ -356,8 +406,9 @@ axpyI4Avx2(std::int64_t w, const std::uint8_t *x, std::int64_t *y,
         __m128i v = _mm_unpacklo_epi8(lo, hi);
         const __m128i eight = _mm_set1_epi8(8);
         v = _mm_sub_epi8(_mm_xor_si128(v, eight), eight);
-        accumWiden8Avx2(w, v, y + j);
-        accumWiden8Avx2(w, _mm_srli_si128(v, 8), y + j + 8);
+        accumWiden8Avx2(w, _mm256_cvtepi8_epi32(v), y + j);
+        accumWiden8Avx2(w, _mm256_cvtepi8_epi32(_mm_srli_si128(v, 8)),
+                        y + j + 8);
     }
     axpyI4Scalar(w, x + j / 2, y + j, n - j);
 }
@@ -379,6 +430,8 @@ avx2Kernels()
         dotI8Avx2,         gatherDotI8Avx2,
         dotI4Avx2,         gatherDotI4Avx2,
         axpyI8Avx2,        axpyI4Avx2,
+        dotI16Avx2,        gatherDotI16Avx2,
+        axpyI16Avx2,
     };
     return &table;
 }

@@ -172,6 +172,34 @@ axpyI4Scalar(std::int64_t w, const std::uint8_t *x, std::int64_t *y,
         y[i] += w * static_cast<std::int64_t>(unpackNibbleLow(x[i / 2]));
 }
 
+inline std::int32_t
+dotI16Scalar(const std::int16_t *a, const std::int16_t *b,
+             std::size_t n)
+{
+    std::int32_t sum = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        sum += static_cast<std::int32_t>(a[i]) *
+               static_cast<std::int32_t>(b[i]);
+    return sum;
+}
+
+inline void
+gatherDotI16Scalar(const std::int16_t *mat, std::size_t dims,
+                   const std::uint32_t *rows, std::size_t count,
+                   const std::int16_t *q, std::int32_t *out)
+{
+    for (std::size_t i = 0; i < count; ++i)
+        out[i] = dotI16Scalar(mat + rows[i] * dims, q, dims);
+}
+
+inline void
+axpyI16Scalar(std::int64_t w, const std::int16_t *x, std::int64_t *y,
+              std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        y[i] += w * static_cast<std::int64_t>(x[i]);
+}
+
 }  // namespace kernel_detail
 }  // namespace a3
 

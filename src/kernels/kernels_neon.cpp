@@ -190,14 +190,39 @@ gatherDotI4Neon(const std::uint8_t *mat, std::size_t dims,
         out[i] = dotI4Neon(mat + rows[i] * rowBytes, q, dims);
 }
 
+std::int32_t
+dotI16Neon(const std::int16_t *a, const std::int16_t *b, std::size_t n)
+{
+    int32x4_t acc0 = vdupq_n_s32(0);
+    int32x4_t acc1 = vdupq_n_s32(0);
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const int16x8_t va = vld1q_s16(a + i);
+        const int16x8_t vb = vld1q_s16(b + i);
+        acc0 = vmlal_s16(acc0, vget_low_s16(va), vget_low_s16(vb));
+        acc1 = vmlal_s16(acc1, vget_high_s16(va), vget_high_s16(vb));
+    }
+    return vaddvq_s32(vaddq_s32(acc0, acc1)) +
+           dotI16Scalar(a + i, b + i, n - i);
+}
+
+void
+gatherDotI16Neon(const std::int16_t *mat, std::size_t dims,
+                 const std::uint32_t *rows, std::size_t count,
+                 const std::int16_t *q, std::int32_t *out)
+{
+    for (std::size_t i = 0; i < count; ++i)
+        out[i] = dotI16Neon(mat + rows[i] * dims, q, dims);
+}
+
 /**
- * y[j] += w * x[j] for 8 int8 lanes widened to int64. |w| < 2^24
- * (kernel contract) keeps the 32-bit products exact.
+ * y[j] += w * x[j] for 8 int16 lanes widened to int64. The kernel
+ * contract (|w| < 2^24 for int8 / int4 lanes, an int32 product for
+ * int16 lanes) keeps the 32-bit products exact.
  */
 void
-accumWiden8Neon(int32x4_t vw, int8x8_t x8, std::int64_t *y)
+accumWiden8Neon(int32x4_t vw, int16x8_t x16, std::int64_t *y)
 {
-    const int16x8_t x16 = vmovl_s8(x8);
     const int32x4_t plo = vmulq_s32(vmovl_s16(vget_low_s16(x16)), vw);
     const int32x4_t phi = vmulq_s32(vmovl_s16(vget_high_s16(x16)), vw);
     vst1q_s64(y, vaddw_s32(vld1q_s64(y), vget_low_s32(plo)));
@@ -213,8 +238,19 @@ axpyI8Neon(std::int64_t w, const std::int8_t *x, std::int64_t *y,
     const int32x4_t vw = vdupq_n_s32(static_cast<std::int32_t>(w));
     std::size_t j = 0;
     for (; j + 8 <= n; j += 8)
-        accumWiden8Neon(vw, vld1_s8(x + j), y + j);
+        accumWiden8Neon(vw, vmovl_s8(vld1_s8(x + j)), y + j);
     axpyI8Scalar(w, x + j, y + j, n - j);
+}
+
+void
+axpyI16Neon(std::int64_t w, const std::int16_t *x, std::int64_t *y,
+            std::size_t n)
+{
+    const int32x4_t vw = vdupq_n_s32(static_cast<std::int32_t>(w));
+    std::size_t j = 0;
+    for (; j + 8 <= n; j += 8)
+        accumWiden8Neon(vw, vld1q_s16(x + j), y + j);
+    axpyI16Scalar(w, x + j, y + j, n - j);
 }
 
 void
@@ -225,8 +261,8 @@ axpyI4Neon(std::int64_t w, const std::uint8_t *x, std::int64_t *y,
     std::size_t j = 0;
     for (; j + 16 <= n; j += 16) {
         const int8x16_t v = unpackNibbles16Neon(x + j / 2);
-        accumWiden8Neon(vw, vget_low_s8(v), y + j);
-        accumWiden8Neon(vw, vget_high_s8(v), y + j + 8);
+        accumWiden8Neon(vw, vmovl_s8(vget_low_s8(v)), y + j);
+        accumWiden8Neon(vw, vmovl_s8(vget_high_s8(v)), y + j + 8);
     }
     axpyI4Scalar(w, x + j / 2, y + j, n - j);
 }
@@ -245,6 +281,8 @@ neonKernels()
         dotI8Neon,       gatherDotI8Neon,
         dotI4Neon,       gatherDotI4Neon,
         axpyI8Neon,      axpyI4Neon,
+        dotI16Neon,      gatherDotI16Neon,
+        axpyI16Neon,
     };
     return &table;
 }

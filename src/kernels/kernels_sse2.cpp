@@ -213,6 +213,41 @@ gatherDotI4Sse2(const std::uint8_t *mat, std::size_t dims,
         out[i] = dotI4Sse2(mat + rows[i] * rowBytes, q, dims);
 }
 
+std::int32_t
+dotI16Sse2(const std::int16_t *a, const std::int16_t *b, std::size_t n)
+{
+    // madd pair sums stay below 2 * 32767^2 < 2^31: the quantized
+    // lanes never hold -32768.
+    const auto load = [](const std::int16_t *p) {
+        return _mm_loadu_si128(reinterpret_cast<const __m128i *>(p));
+    };
+    __m128i acc0 = _mm_setzero_si128();
+    __m128i acc1 = _mm_setzero_si128();
+    std::size_t i = 0;
+    for (; i + 16 <= n; i += 16) {
+        acc0 = _mm_add_epi32(acc0, _mm_madd_epi16(load(a + i),
+                                                  load(b + i)));
+        acc1 = _mm_add_epi32(acc1, _mm_madd_epi16(load(a + i + 8),
+                                                  load(b + i + 8)));
+    }
+    if (i + 8 <= n) {
+        acc0 = _mm_add_epi32(acc0, _mm_madd_epi16(load(a + i),
+                                                  load(b + i)));
+        i += 8;
+    }
+    return hsumEpi32(_mm_add_epi32(acc0, acc1)) +
+           dotI16Scalar(a + i, b + i, n - i);
+}
+
+void
+gatherDotI16Sse2(const std::int16_t *mat, std::size_t dims,
+                 const std::uint32_t *rows, std::size_t count,
+                 const std::int16_t *q, std::int32_t *out)
+{
+    for (std::size_t i = 0; i < count; ++i)
+        out[i] = dotI16Sse2(mat + rows[i] * dims, q, dims);
+}
+
 void
 gatherWeightedSumSse2(const float *mat, std::size_t dims,
                       const std::uint32_t *rows, std::size_t count,
@@ -237,9 +272,9 @@ gatherWeightedSumSse2(const float *mat, std::size_t dims,
 const Kernels *
 sse2Kernels()
 {
-    // axpyI8/axpyI4 widen to int64 lanes, which SSE2 has no usable
-    // multiply for; the fallback tier shares the scalar bodies (still
-    // exact, still bit-identical — the class is unaffected).
+    // axpyI8/axpyI4/axpyI16 widen to int64 lanes, which SSE2 has no
+    // usable multiply for; the fallback tier shares the scalar bodies
+    // (still exact, still bit-identical — the class is unaffected).
     static const Kernels table{
         KernelIsa::Sse2, dotSse2,
         axpySse2,        maxReduceSse2,
@@ -250,6 +285,8 @@ sse2Kernels()
         dotI4Sse2,       gatherDotI4Sse2,
         kernel_detail::axpyI8Scalar,
         kernel_detail::axpyI4Scalar,
+        dotI16Sse2,      gatherDotI16Sse2,
+        kernel_detail::axpyI16Scalar,
     };
     return &table;
 }

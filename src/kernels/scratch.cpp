@@ -28,6 +28,7 @@ Scratch::reserveTask(std::size_t rows, std::size_t dims)
     reserveAtLeast(minHeap, dims + 1);
     reserveAtLeast(queryQ, dims);
     reserveAtLeast(queryQ8, dims);
+    reserveAtLeast(queryQ16, dims);
     reserveAtLeast(dotQ, rows);
     reserveAtLeast(dotQ32, rows);
     reserveAtLeast(scoreQ, rows);

@@ -18,7 +18,7 @@
  *  - kept:                 post-scoring survivors
  *  - greedy/maxHeap/minHeap: efficientGreedySearch working state
  *  - queryQ/dotQ/scoreQ/outQ: quantized pipeline lanes
- *  - queryQ8/dotQ32:        packed-kernel lanes of the same pipeline
+ *  - queryQ8/queryQ16/dotQ32: packed-kernel lanes of the same pipeline
  *
  * Scratch is deliberately value-only state: reusing it changes which
  * bytes of memory are written, never the values computed, so batched
@@ -77,6 +77,9 @@ struct Scratch
     /** Packed-path query lane: the same quantized words as int8. */
     std::vector<std::int8_t> queryQ8;
 
+    /** int16-lane query: the same quantized words as int16. */
+    std::vector<std::int16_t> queryQ16;
+
     /** Quantized dot-product lane (length = row count). */
     std::vector<std::int64_t> dotQ;
 
@@ -92,8 +95,8 @@ struct Scratch
     /**
      * Grow every buffer to the capacity an (n x d) task can need, so
      * later runInto() calls on this thread never reallocate. Called by
-     * backends at bind time for the binding thread; other threads
-     * warm up on their first query.
+     * backends at bind time for the binding thread, and by the
+     * engine on each lane before it runs a work unit.
      */
     void reserveTask(std::size_t rows, std::size_t dims);
 

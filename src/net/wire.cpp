@@ -8,11 +8,11 @@ namespace a3 {
 namespace {
 
 /**
- * Little-endian hosts can move bulk 4-byte arrays with one memcpy —
- * the wire format *is* the in-memory layout there. The per-element
- * paths remain the portable fallback; shard-image restores and large
- * query frames are the callers that care (multi-megabyte arrays on
- * the serving hot path).
+ * Little-endian hosts can move bulk 2- and 4-byte arrays with one
+ * memcpy — the wire format *is* the in-memory layout there. The
+ * per-element paths remain the portable fallback; shard-image
+ * restores and large query frames are the callers that care
+ * (multi-megabyte arrays on the serving hot path).
  */
 constexpr bool kLittleEndianHost =
     std::endian::native == std::endian::little;
@@ -49,6 +49,20 @@ WireWriter::floats(const float *data, std::size_t count)
     buf_.reserve(buf_.size() + count * 4);
     for (std::size_t i = 0; i < count; ++i)
         f32(data[i]);
+}
+
+void
+WireWriter::u16s(const std::uint16_t *data, std::size_t count)
+{
+    u64(count);
+    if (kLittleEndianHost) {
+        const auto *raw = reinterpret_cast<const std::uint8_t *>(data);
+        buf_.insert(buf_.end(), raw, raw + count * 2);
+        return;
+    }
+    buf_.reserve(buf_.size() + count * 2);
+    for (std::size_t i = 0; i < count; ++i)
+        u16(data[i]);
 }
 
 void
@@ -141,6 +155,26 @@ WireReader::floats(std::vector<float> &out)
     }
     for (auto &v : out)
         v = f32();
+}
+
+void
+WireReader::u16s(std::vector<std::uint16_t> &out)
+{
+    const std::uint64_t count = u64();
+    if (!ok_ || count > remaining() / 2) {
+        ok_ = false;
+        out.clear();
+        return;
+    }
+    out.resize(static_cast<std::size_t>(count));
+    if (kLittleEndianHost) {
+        std::memcpy(out.data(), data_ + pos_,
+                    static_cast<std::size_t>(count) * 2);
+        pos_ += static_cast<std::size_t>(count) * 2;
+        return;
+    }
+    for (auto &v : out)
+        v = u16();
 }
 
 void

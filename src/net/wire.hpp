@@ -78,6 +78,9 @@ class WireWriter
     /** Length-prefixed (u64) float array, bit patterns. */
     void floats(const float *data, std::size_t count);
 
+    /** Length-prefixed (u64) u16 array. */
+    void u16s(const std::uint16_t *data, std::size_t count);
+
     /** Length-prefixed (u64) u32 array. */
     void u32s(const std::uint32_t *data, std::size_t count);
 
@@ -121,6 +124,9 @@ class WireReader
 
     /** Length-prefixed float array into `out` (resized). */
     void floats(std::vector<float> &out);
+
+    /** Length-prefixed u16 array into `out` (resized). */
+    void u16s(std::vector<std::uint16_t> &out);
 
     /** Length-prefixed u32 array into `out` (resized). */
     void u32s(std::vector<std::uint32_t> &out);

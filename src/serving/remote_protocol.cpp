@@ -79,7 +79,7 @@ getEngineConfig(WireReader &r, EngineConfig &out)
     if (!r.ok() ||
         kind > static_cast<std::uint8_t>(
                    EngineKind::ApproxQuantized) ||
-        packed > static_cast<std::uint8_t>(PackedKvFormat::Int4))
+        packed > static_cast<std::uint8_t>(PackedKvFormat::Int16))
         return false;
     out.kind = static_cast<EngineKind>(kind);
     out.packedKv = static_cast<PackedKvFormat>(packed);

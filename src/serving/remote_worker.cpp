@@ -24,7 +24,7 @@ sendError(Transport &transport, std::uint64_t requestId,
 }  // namespace
 
 NetStatus
-validateRemoteEngineConfig(const EngineConfig &config)
+validateRemoteEngineConfig(const EngineConfig &config, std::size_t dims)
 {
     if (config.kind != EngineKind::ExactQuantized &&
         config.kind != EngineKind::ApproxQuantized)
@@ -34,17 +34,23 @@ validateRemoteEngineConfig(const EngineConfig &config)
             NetError::WorkerError,
             "quantization widths must be positive");
     const int word = config.intBits + config.fracBits + 1;
-    int lane = 32;
-    if (config.packedKv == PackedKvFormat::Int8)
-        lane = 8;
-    else if (config.packedKv == PackedKvFormat::Int4)
-        lane = 4;
+    const int lane = config.packedKv == PackedKvFormat::Auto
+                         ? 32
+                         : packedKvLaneBits(config.packedKv);
     if (word > lane)
         return NetStatus::failure(
             NetError::WorkerError,
             "input word of " + std::to_string(word) +
                 " bits exceeds the " + std::to_string(lane) +
                 "-bit lane");
+    if (tryResolvePackedKvFormat(config.packedKv, config.intBits,
+                                 config.fracBits,
+                                 dims) == PackedKvFormat::Auto)
+        return NetStatus::failure(
+            NetError::WorkerError,
+            std::string("the ") + packedKvFormatName(config.packedKv) +
+                " lane's int32 kernels would overflow on " +
+                std::to_string(dims) + " columns");
     return NetStatus::success();
 }
 
@@ -136,7 +142,7 @@ ShardWorker::handleBind(Transport &transport, const Frame &frame)
         sendError(transport, 0, status.error, status.message);
         return;
     }
-    status = validateRemoteEngineConfig(bind.config);
+    status = validateRemoteEngineConfig(bind.config, bind.key.cols());
     if (!status.ok()) {
         sendError(transport, 0, status.error, status.message);
         return;

@@ -41,13 +41,15 @@
 namespace a3 {
 
 /**
- * Reject an EngineConfig that arrived over the wire if
- * makeBackend() would fatal() on it (non-positive quantization
- * widths, input word over the lane budget). The worker gates every
- * BindShard through this so a hostile or buggy peer gets a typed
- * ErrorReply instead of killing the process.
+ * Reject an EngineConfig that arrived over the wire if makeBackend()
+ * would fatal() on it for a `dims`-column shard (non-positive
+ * quantization widths, input word over the lane budget, an explicit
+ * packed lane whose int32 kernels the task would overflow). The
+ * worker gates every BindShard through this so a hostile or buggy
+ * peer gets a typed ErrorReply instead of killing the process.
  */
-NetStatus validateRemoteEngineConfig(const EngineConfig &config);
+NetStatus validateRemoteEngineConfig(const EngineConfig &config,
+                                     std::size_t dims);
 
 /** Serves BindShard/Query/Heartbeat frames on one connection. */
 class ShardWorker

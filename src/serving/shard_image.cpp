@@ -96,9 +96,10 @@ imageChecksum(const std::uint8_t *data, std::size_t size)
     return static_cast<std::uint32_t>(hash ^ (hash >> 32));
 }
 
-/** Canonical fingerprint bytes of one config (see mixConfig). */
+/** Canonical fingerprint bytes of one config for a `dims`-column
+ *  task (see mixConfig). */
 void
-appendConfigFingerprint(const EngineConfig &config,
+appendConfigFingerprint(const EngineConfig &config, std::size_t dims,
                         std::vector<std::uint8_t> &out)
 {
     WireWriter w;
@@ -111,8 +112,8 @@ appendConfigFingerprint(const EngineConfig &config,
     if (quantized) {
         w.u8(static_cast<std::uint8_t>(config.intBits));
         w.u8(static_cast<std::uint8_t>(config.fracBits));
-        w.u8(static_cast<std::uint8_t>(resolvePackedKvFormat(
-            config.packedKv, config.intBits, config.fracBits)));
+        w.u8(static_cast<std::uint8_t>(tryResolvePackedKvFormat(
+            config.packedKv, config.intBits, config.fracBits, dims)));
     }
     if (approx) {
         const ApproxConfig &a = config.approx;
@@ -130,10 +131,10 @@ appendConfigFingerprint(const EngineConfig &config,
 }  // namespace
 
 void
-ShardKeyHasher::mixConfig(const EngineConfig &config)
+ShardKeyHasher::mixConfig(const EngineConfig &config, std::size_t dims)
 {
     std::vector<std::uint8_t> fingerprint;
-    appendConfigFingerprint(config, fingerprint);
+    appendConfigFingerprint(config, dims, fingerprint);
     mixBytes(fingerprint.data(), fingerprint.size());
 }
 
@@ -175,9 +176,9 @@ encodeShardImage(const EngineConfig &config, const ShardKey &key,
         config.kind == EngineKind::ExactQuantized ||
         config.kind == EngineKind::ApproxQuantized;
     image.u8(quantized
-                 ? static_cast<std::uint8_t>(resolvePackedKvFormat(
+                 ? static_cast<std::uint8_t>(tryResolvePackedKvFormat(
                        config.packedKv, config.intBits,
-                       config.fracBits))
+                       config.fracBits, backend.dims()))
                  : 0);
     image.u8(quantized ? static_cast<std::uint8_t>(config.intBits)
                        : 0);
@@ -223,11 +224,16 @@ decodeShardImage(const EngineConfig &config, const ShardKey &expected,
         config.kind == EngineKind::ExactQuantized ||
         config.kind == EngineKind::ApproxQuantized;
     if (quantized) {
+        // The lane layout resolves per task width: an image written
+        // under another layout (say Word32, before the int16 lane
+        // existed) is a miss, never a misread.
+        const PackedKvFormat layout = tryResolvePackedKvFormat(
+            config.packedKv, config.intBits, config.fracBits,
+            static_cast<std::size_t>(dims));
         if (intBits != static_cast<std::uint8_t>(config.intBits) ||
             fracBits != static_cast<std::uint8_t>(config.fracBits) ||
-            packed != static_cast<std::uint8_t>(resolvePackedKvFormat(
-                          config.packedKv, config.intBits,
-                          config.fracBits)))
+            layout == PackedKvFormat::Auto ||
+            packed != static_cast<std::uint8_t>(layout))
             return nullptr;
     }
     if (!(stamped == expected))

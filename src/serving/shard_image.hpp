@@ -89,12 +89,13 @@ class ShardKeyHasher
     /**
      * Mix the config fingerprint: engine kind plus exactly the knobs
      * that shape the preprocessed state of that kind (quantization
-     * widths and resolved lane layout for the quantized kinds,
-     * approximation knobs for the approx kinds). Knobs irrelevant to
-     * the kind are excluded so, e.g., two ExactFloat configs with
-     * different approx presets still share shards.
+     * widths and the lane layout resolved for a `dims`-column task
+     * for the quantized kinds, approximation knobs for the approx
+     * kinds). Knobs irrelevant to the kind are excluded so, e.g., two
+     * ExactFloat configs with different approx presets still share
+     * shards.
      */
-    void mixConfig(const EngineConfig &config);
+    void mixConfig(const EngineConfig &config, std::size_t dims);
 
     /**
      * Mix `count` key/value rows starting at `firstRow`: for each

@@ -32,7 +32,7 @@ ShardHandle::bindTail(const EngineConfig &config, const Matrix &key,
         config, makeBackend(config, key.rowSlice(firstRow, count),
                             value.rowSlice(firstRow, count))));
     handle->tracking_ = true;
-    handle->hasher_.mixConfig(config);
+    handle->hasher_.mixConfig(config, key.cols());
     handle->hasher_.mixTaskRows(key, value, firstRow, count);
     return handle;
 }
@@ -303,7 +303,7 @@ ShardStore::acquire(const EngineConfig &config, const Matrix &key,
 {
     // Content-address the slice first (cheap relative to any bind).
     ShardKeyHasher hasher;
-    hasher.mixConfig(config);
+    hasher.mixConfig(config, key.cols());
     hasher.mixTaskRows(key, value, firstRow, count);
     const ShardKey contentKey = hasher.key();
 

@@ -39,6 +39,13 @@ A3Cluster::unit(std::size_t index) const
     return *units_[index];
 }
 
+std::optional<QueryJob>
+A3Cluster::popOutput(std::size_t index)
+{
+    a3Assert(index < units_.size(), "unit index out of range");
+    return units_[index]->popOutput();
+}
+
 ClusterStats
 A3Cluster::runAll(const std::vector<Vector> &queries)
 {

@@ -20,6 +20,7 @@
 #define A3_SIM_MULTI_UNIT_HPP
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "sim/accelerator.hpp"
@@ -83,6 +84,9 @@ class A3Cluster
 
     std::size_t units() const { return units_.size(); }
     const A3Accelerator &unit(std::size_t index) const;
+
+    /** Pop the oldest completed query of unit `index`, if any. */
+    std::optional<QueryJob> popOutput(std::size_t index);
 
   private:
     std::vector<std::unique_ptr<A3Accelerator>> units_;

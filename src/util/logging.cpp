@@ -1,6 +1,7 @@
 #include "util/logging.hpp"
 
 #include <cstdio>
+#include <cstdlib>
 
 namespace a3 {
 
@@ -32,6 +33,13 @@ emit(LogLevel level, const char *tag, const std::string &message)
         return;
     }
     std::fprintf(stderr, "[a3:%s] %s\n", tag, message.c_str());
+}
+
+void
+exitNow(int status)
+{
+    std::fflush(nullptr);
+    std::_Exit(status);
 }
 
 }  // namespace detail

@@ -77,9 +77,22 @@ warn(Args &&...args)
                  detail::concat(std::forward<Args>(args)...));
 }
 
+namespace detail {
+
+/**
+ * Flush stdio and end the process with `status` at once. Static
+ * destructors are skipped on purpose: other threads (engine pool
+ * lanes, workers) may still be running and touching those objects.
+ */
+[[noreturn]] void exitNow(int status);
+
+}  // namespace detail
+
 /**
  * Unrecoverable user error (bad inputs or configuration).
- * Prints the message and exits with status 1.
+ * Prints the message and exits with status 1, without running static
+ * destructors (see detail::exitNow), so it is safe from any thread of
+ * a process that already runs others.
  */
 template <typename... Args>
 [[noreturn]] void
@@ -87,7 +100,7 @@ fatal(Args &&...args)
 {
     detail::emit(LogLevel::Quiet, "fatal",
                  detail::concat(std::forward<Args>(args)...));
-    std::exit(1);
+    detail::exitNow(1);
 }
 
 /**

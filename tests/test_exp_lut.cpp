@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "fixed/exp_lut.hpp"
 #include "util/random.hpp"
@@ -50,6 +52,30 @@ TEST(ExpLut, MonotoneNonIncreasingWithinOneLsb)
         EXPECT_LE(cur, prev + 1) << "raw=" << raw;
         prev = std::min(prev, cur);
     }
+}
+
+TEST(ExpLut, PaperFormatNonMonotonePointsPinned)
+{
+    // ExpLut(8, 8) is the LUT of the paper's f = 4 pipeline. Its two
+    // halves round independently, so at a fixed set of inputs the
+    // score drops as the input rises (a larger dot product gets a
+    // smaller weight). Pin that set's size and depth: a table change
+    // that adds non-monotone points or deepens a drop fails here.
+    ExpLut lut(8, 8);
+    int points = 0;
+    std::int64_t worstDrop = 0;
+    std::int64_t first = 0;
+    for (std::int64_t raw = -16384; raw < 0; ++raw) {
+        const std::int64_t drop = lut.lookup(raw) - lut.lookup(raw + 1);
+        if (drop <= 0)
+            continue;
+        if (points++ == 0)
+            first = raw;
+        worstDrop = std::max(worstDrop, drop);
+    }
+    EXPECT_EQ(points, 22);
+    EXPECT_EQ(worstDrop, 1);  // output LSBs
+    EXPECT_EQ(first, -1568);
 }
 
 TEST(ExpLut, TableSizesAreTwoHalves)

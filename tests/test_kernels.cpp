@@ -407,6 +407,95 @@ TEST(PackedKernels, EveryAvailableTableComplete)
         EXPECT_NE(k.gatherDotI4, nullptr) << kernelIsaName(isa);
         EXPECT_NE(k.axpyI8, nullptr) << kernelIsaName(isa);
         EXPECT_NE(k.axpyI4, nullptr) << kernelIsaName(isa);
+        EXPECT_NE(k.dotI16, nullptr) << kernelIsaName(isa);
+        EXPECT_NE(k.gatherDotI16, nullptr) << kernelIsaName(isa);
+        EXPECT_NE(k.axpyI16, nullptr) << kernelIsaName(isa);
+    }
+}
+
+/**
+ * int16 lanes for an n-wide dot: the extremes +-m and random values
+ * in [-m, m], where m is the widest magnitude whose n products still
+ * sum inside int32 (the kernels' dot-format precondition), capped at
+ * the symmetric lane limit 32767.
+ */
+std::vector<std::int16_t>
+randomI16(Rng &rng, std::size_t n)
+{
+    const double bound = std::sqrt(2147483647.0 / static_cast<double>(n));
+    const int m = static_cast<int>(std::min(32767.0, std::floor(bound)));
+    std::vector<std::int16_t> v(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const int x = i % 4 == 0   ? m
+                      : i % 4 == 1 ? -m
+                                   : rng.uniformInt(-m, m);
+        v[i] = static_cast<std::int16_t>(x);
+    }
+    return v;
+}
+
+TEST(PackedKernels, Int16KernelsMatchScalarOnEveryIsa)
+{
+    const Kernels &scalar = scalarKernels();
+    // Products up to 65536 * 32767 < 2^31: the int32 axpy contract.
+    const std::int64_t weights[] = {0, 1, -1, 255, -4096, 65535, -65536};
+    for (KernelIsa isa : availableKernelIsas()) {
+        const Kernels &k = kernelsFor(isa);
+        Rng rng(8106);
+        for (std::size_t n : {1u, 2u, 7u, 15u, 17u, 64u, 100u}) {
+            SCOPED_TRACE(std::string(kernelIsaName(isa)) + " n=" +
+                         std::to_string(n));
+            const std::vector<std::int16_t> a = randomI16(rng, n);
+            std::vector<std::int16_t> b = randomI16(rng, n);
+            // Same-signed extremes: every madd pair at its largest.
+            if (n <= 2)
+                b = a;
+            std::int64_t exact = 0;
+            for (std::size_t i = 0; i < n; ++i)
+                exact += static_cast<std::int64_t>(a[i]) * b[i];
+            EXPECT_EQ(k.dotI16(a.data(), b.data(), n), exact);
+            EXPECT_EQ(k.dotI16(a.data(), b.data(), n),
+                      scalar.dotI16(a.data(), b.data(), n));
+
+            const std::vector<std::int16_t> x(a.size(), 32767);
+            for (const std::vector<std::int16_t> &lanes : {a, x}) {
+                for (const std::int64_t w : weights) {
+                    std::vector<std::int64_t> seed(n);
+                    for (auto &y : seed)
+                        y = static_cast<std::int64_t>(
+                                rng.uniformInt(-1000000, 1000000))
+                            << 16;
+                    std::vector<std::int64_t> got = seed;
+                    std::vector<std::int64_t> want = seed;
+                    std::vector<std::int64_t> ref = seed;
+                    k.axpyI16(w, lanes.data(), got.data(), n);
+                    scalar.axpyI16(w, lanes.data(), want.data(), n);
+                    for (std::size_t i = 0; i < n; ++i)
+                        ref[i] += w * static_cast<std::int64_t>(lanes[i]);
+                    EXPECT_EQ(got, want) << "w=" << w;
+                    EXPECT_EQ(got, ref) << "w=" << w;
+                }
+            }
+
+            // Gathered rows, repeats included.
+            const std::size_t matRows = 9;
+            std::vector<std::int16_t> mat;
+            for (std::size_t r = 0; r < matRows; ++r) {
+                const std::vector<std::int16_t> row = randomI16(rng, n);
+                mat.insert(mat.end(), row.begin(), row.end());
+            }
+            const std::vector<std::uint32_t> rows{4, 0, 8, 4, 2};
+            std::vector<std::int32_t> got(rows.size());
+            std::vector<std::int32_t> want(rows.size());
+            k.gatherDotI16(mat.data(), n, rows.data(), rows.size(),
+                           b.data(), got.data());
+            scalar.gatherDotI16(mat.data(), n, rows.data(), rows.size(),
+                                b.data(), want.data());
+            EXPECT_EQ(got, want);
+            for (std::size_t i = 0; i < rows.size(); ++i)
+                EXPECT_EQ(got[i], scalar.dotI16(mat.data() + rows[i] * n,
+                                                b.data(), n));
+        }
     }
 }
 

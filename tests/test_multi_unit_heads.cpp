@@ -94,11 +94,27 @@ TEST(ClusterHeads, PerHeadResultsMatchSoloUnits)
         solo.drain();
         const auto expected = solo.popOutput();
         ASSERT_TRUE(expected.has_value());
+
+        // Unit h's own output: a cluster that loaded task h into
+        // another unit fails here.
         EXPECT_EQ(cluster.unit(h).pendingOutputs(), 1u);
-        const QuantizedAttention datapath(tasks[h].first,
-                                          tasks[h].second, 4, 4);
-        EXPECT_EQ(datapath.run(queries[h][0]).output,
-                  expected->result.output);
+        const auto got = cluster.popOutput(h);
+        ASSERT_TRUE(got.has_value());
+        EXPECT_EQ(cluster.unit(h).pendingOutputs(), 0u);
+        EXPECT_EQ(got->result.output, expected->result.output);
+        EXPECT_EQ(got->result.weights, expected->result.weights);
+
+        // The paper's i = f = 4 binds onto the int16 lane, which is
+        // bit-identical to the Word32 datapath.
+        const QuantizedAttention packed(tasks[h].first, tasks[h].second,
+                                        4, 4);
+        EXPECT_EQ(packed.packedFormat(), PackedKvFormat::Int16);
+        const AttentionResult word32 =
+            QuantizedAttention(tasks[h].first, tasks[h].second, 4, 4,
+                               PackedKvFormat::Word32)
+                .run(queries[h][0]);
+        EXPECT_EQ(word32.output, got->result.output);
+        EXPECT_EQ(word32.weights, got->result.weights);
     }
 }
 

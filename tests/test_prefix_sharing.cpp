@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "attention/backend.hpp"
+#include "attention/quantized.hpp"
 #include "engine/engine.hpp"
 #include "serving/batch_scheduler.hpp"
 #include "serving/session_cache.hpp"
@@ -112,16 +113,16 @@ TEST(ShardStoreKeys, ContentKeyDeterministicAndInputSensitive)
     const EngineConfig config = configOf(EngineKind::ExactFloat);
 
     ShardKeyHasher a;
-    a.mixConfig(config);
+    a.mixConfig(config, key.cols());
     a.mixTaskRows(key, value, 0, 32);
     ShardKeyHasher b;
-    b.mixConfig(config);
+    b.mixConfig(config, key.cols());
     b.mixTaskRows(key, value, 0, 32);
     EXPECT_EQ(a.key(), b.key());
 
     // A different row slice of the same matrices hashes differently.
     ShardKeyHasher c;
-    c.mixConfig(config);
+    c.mixConfig(config, key.cols());
     c.mixTaskRows(key, value, 16, 32);
     EXPECT_FALSE(a.key() == c.key());
 
@@ -129,7 +130,7 @@ TEST(ShardStoreKeys, ContentKeyDeterministicAndInputSensitive)
     Matrix tweaked = key;
     tweaked(3, 5) += 1.0f;
     ShardKeyHasher d;
-    d.mixConfig(config);
+    d.mixConfig(config, key.cols());
     d.mixTaskRows(tweaked, value, 0, 32);
     EXPECT_FALSE(a.key() == d.key());
 }
@@ -147,9 +148,9 @@ TEST(ShardStoreKeys, ConfigFingerprintCoversOnlyRelevantKnobs)
     EngineConfig floatB = floatA;
     floatB.intBits = 6;
     ShardKeyHasher a, b;
-    a.mixConfig(floatA);
+    a.mixConfig(floatA, key.cols());
     a.mixTaskRows(key, value, 0, 32);
-    b.mixConfig(floatB);
+    b.mixConfig(floatB, key.cols());
     b.mixTaskRows(key, value, 0, 32);
     EXPECT_EQ(a.key(), b.key());
 
@@ -159,15 +160,15 @@ TEST(ShardStoreKeys, ConfigFingerprintCoversOnlyRelevantKnobs)
     EngineConfig quantB = quantA;
     quantB.intBits = 6;
     ShardKeyHasher c, d;
-    c.mixConfig(quantA);
+    c.mixConfig(quantA, key.cols());
     c.mixTaskRows(key, value, 0, 32);
-    d.mixConfig(quantB);
+    d.mixConfig(quantB, key.cols());
     d.mixTaskRows(key, value, 0, 32);
     EXPECT_FALSE(c.key() == d.key());
 
     // And kinds never collide with each other.
     ShardKeyHasher e;
-    e.mixConfig(configOf(EngineKind::ApproxFloat));
+    e.mixConfig(configOf(EngineKind::ApproxFloat), key.cols());
     e.mixTaskRows(key, value, 0, 32);
     EXPECT_FALSE(a.key() == e.key());
     EXPECT_FALSE(c.key() == e.key());
@@ -345,6 +346,7 @@ TEST(SpillTier, PackedFormatsRoundTripBitIdentical)
     const Vector query = randomQuery(rng, d);
 
     const PackedKvFormat formats[] = {PackedKvFormat::Word32,
+                                      PackedKvFormat::Int16,
                                       PackedKvFormat::Int8,
                                       PackedKvFormat::Int4};
     for (PackedKvFormat format : formats) {
@@ -352,6 +354,8 @@ TEST(SpillTier, PackedFormatsRoundTripBitIdentical)
         EngineConfig config = configOf(EngineKind::ExactQuantized);
         config.intBits = format == PackedKvFormat::Int4 ? 1 : 3;
         config.fracBits = format == PackedKvFormat::Int4 ? 2 : 4;
+        if (format == PackedKvFormat::Int16)
+            config.intBits = 4;  // the 9-bit paper default
         config.packedKv = format;
         TempSpillDir dir;
 
@@ -373,6 +377,67 @@ TEST(SpillTier, PackedFormatsRoundTripBitIdentical)
         cold->runInto(query, fromCold);
         expectBitIdentical(fromSpill, fromCold);
     }
+}
+
+TEST(SpillTier, PackedLegacyWord32ImageFallsBackToColdBind)
+{
+    // Auto once bound the paper's 9-bit i = f = 4 words as Word32;
+    // it now binds them on the int16 lane. A Word32 image, even one
+    // filed under the int16 config's own key, must be rejected and
+    // re-bound cold, never decoded as int16 lanes.
+    Rng rng(47);
+    const std::size_t n = 40;
+    const std::size_t d = 16;
+    const Matrix key = randomMatrix(rng, n, d);
+    const Matrix value = randomMatrix(rng, n, d);
+    const Vector query = randomQuery(rng, d);
+    EngineConfig config = configOf(EngineKind::ExactQuantized);
+    config.intBits = 4;
+    config.fracBits = 4;
+    EngineConfig legacy = config;
+    legacy.packedKv = PackedKvFormat::Word32;
+
+    ShardKeyHasher hasher;
+    hasher.mixConfig(config, d);
+    hasher.mixTaskRows(key, value, 0, n);
+    const ShardKey contentKey = hasher.key();
+    const auto word32 = makeBackend(legacy, key, value);
+    const std::vector<std::uint8_t> image =
+        encodeShardImage(legacy, contentKey, *word32);
+    EXPECT_EQ(decodeShardImage(config, contentKey, image.data(),
+                               image.size()),
+              nullptr);
+    // The bytes are intact: they decode under the layout they carry.
+    EXPECT_NE(decodeShardImage(legacy, contentKey, image.data(),
+                               image.size()),
+              nullptr);
+
+    TempSpillDir dir;
+    {
+        const std::string path =
+            dir.path() + "/" + contentKey.hex() + ".shard";
+        std::FILE *f = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        ASSERT_EQ(std::fwrite(image.data(), 1, image.size(), f),
+                  image.size());
+        std::fclose(f);
+    }
+    ShardStore store({dir.path(), 0});
+    EXPECT_EQ(store.spillCount(), 1u);
+    ShardSource source = ShardSource::SpillRestored;
+    auto handle = store.acquire(config, key, value, 0, n, &source);
+    ASSERT_NE(handle, nullptr);
+    EXPECT_EQ(source, ShardSource::ColdBound);
+    EXPECT_EQ(store.stats().spillRejects, 1u);
+    const auto *bound =
+        dynamic_cast<const QuantizedAttention *>(&handle->backend());
+    ASSERT_NE(bound, nullptr);
+    EXPECT_EQ(bound->packedFormat(), PackedKvFormat::Int16);
+
+    AttentionResult got, want;
+    handle->backend().runInto(query, got);
+    word32->runInto(query, want);
+    expectBitIdentical(got, want);
 }
 
 TEST(SpillTier, CorruptImageRejectedAndColdBound)

@@ -13,6 +13,7 @@
 #include "attention/backend.hpp"
 #include "attention/quantized.hpp"
 #include "attention/reference.hpp"
+#include "engine/engine.hpp"
 #include "fixed/value.hpp"
 #include "kernels/kernels.hpp"
 #include "net/wire.hpp"
@@ -208,6 +209,8 @@ struct PackedCase
 };
 
 const PackedCase kPackedCases[] = {
+    {4, 4, PackedKvFormat::Int16},
+    {4, 8, PackedKvFormat::Int16},
     {3, 4, PackedKvFormat::Int8},
     {2, 4, PackedKvFormat::Int8},
     {1, 2, PackedKvFormat::Int4},
@@ -226,21 +229,114 @@ expectBitIdentical(const AttentionResult &a, const AttentionResult &b)
 
 TEST(QuantizedPacked, AutoResolvesToNarrowestLosslessLane)
 {
-    EXPECT_EQ(resolvePackedKvFormat(PackedKvFormat::Auto, 1, 2),
+    EXPECT_EQ(resolvePackedKvFormat(PackedKvFormat::Auto, 1, 2, 64),
               PackedKvFormat::Int4);
-    EXPECT_EQ(resolvePackedKvFormat(PackedKvFormat::Auto, 3, 4),
+    EXPECT_EQ(resolvePackedKvFormat(PackedKvFormat::Auto, 3, 4, 64),
               PackedKvFormat::Int8);
-    EXPECT_EQ(resolvePackedKvFormat(PackedKvFormat::Auto, 4, 4),
-              PackedKvFormat::Word32);
+    // The paper's default 9-bit word lands on the int16 lane.
+    EXPECT_EQ(resolvePackedKvFormat(PackedKvFormat::Auto, 4, 4, 64),
+              PackedKvFormat::Int16);
+    EXPECT_EQ(resolvePackedKvFormat(PackedKvFormat::Auto, 4, 8, 64),
+              PackedKvFormat::Int16);
     // Explicit requests that fit resolve to themselves.
-    EXPECT_EQ(resolvePackedKvFormat(PackedKvFormat::Int8, 3, 4),
+    EXPECT_EQ(resolvePackedKvFormat(PackedKvFormat::Int8, 3, 4, 64),
               PackedKvFormat::Int8);
-    EXPECT_EQ(resolvePackedKvFormat(PackedKvFormat::Int4, 1, 2),
+    EXPECT_EQ(resolvePackedKvFormat(PackedKvFormat::Int4, 1, 2, 64),
               PackedKvFormat::Int4);
-    EXPECT_EQ(resolvePackedKvFormat(PackedKvFormat::Word32, 12, 12),
+    EXPECT_EQ(resolvePackedKvFormat(PackedKvFormat::Int16, 3, 4, 64),
+              PackedKvFormat::Int16);
+    EXPECT_EQ(resolvePackedKvFormat(PackedKvFormat::Word32, 4, 4, 64),
+              PackedKvFormat::Word32);
+    EXPECT_EQ(resolvePackedKvFormat(PackedKvFormat::Word32, 12, 12, 64),
               PackedKvFormat::Word32);
     EXPECT_STREQ(packedKvFormatName(PackedKvFormat::Int4), "int4");
+    EXPECT_STREQ(packedKvFormatName(PackedKvFormat::Int16), "int16");
     EXPECT_EQ(packedKvLaneBits(PackedKvFormat::Int8), 8);
+    EXPECT_EQ(packedKvLaneBits(PackedKvFormat::Int16), 16);
+    EXPECT_EQ(packedRowBytes(PackedKvFormat::Int16, 15), 30u);
+    // Appended after Int4: the layout bytes of images and frames of
+    // the older layouts do not move.
+    EXPECT_EQ(static_cast<int>(PackedKvFormat::Int4), 3);
+    EXPECT_EQ(static_cast<int>(PackedKvFormat::Int16), 4);
+}
+
+TEST(QuantizedPacked, AutoKeepsWord32WhenAnInt32BoundFails)
+{
+    // A 16-bit word fits the lane, but at d = 64 its dot format
+    // (2*7 + 6 int bits, 16 frac bits) needs 37 bits.
+    EXPECT_FALSE(packedKvLaneHolds(PackedKvFormat::Int16, 7, 8, 64));
+    EXPECT_EQ(resolvePackedKvFormat(PackedKvFormat::Auto, 7, 8, 64),
+              PackedKvFormat::Word32);
+    // The dot format of Q1.11 fits at d = 16 (29 bits), but a weight
+    // near 1.0 (2^22) times a lane near 2^12 overflows an int32 axpy
+    // product: i + 3f = 34 > 31.
+    EXPECT_FALSE(packedKvLaneHolds(PackedKvFormat::Int16, 1, 11, 16));
+    EXPECT_EQ(resolvePackedKvFormat(PackedKvFormat::Auto, 1, 11, 16),
+              PackedKvFormat::Word32);
+    // i + 3f = 31 is the widest product that still fits.
+    EXPECT_TRUE(packedKvLaneHolds(PackedKvFormat::Int16, 1, 10, 16));
+    // Words wider than 16 bits never take a packed lane.
+    EXPECT_EQ(resolvePackedKvFormat(PackedKvFormat::Auto, 8, 8, 1),
+              PackedKvFormat::Word32);
+    EXPECT_EQ(tryResolvePackedKvFormat(PackedKvFormat::Int16, 7, 8, 64),
+              PackedKvFormat::Auto);
+
+    // Both fallbacks bind and answer without a panic, matching the
+    // scalar oracle.
+    Rng rng(5108);
+    for (const PackedCase &pc : {PackedCase{7, 8, PackedKvFormat::Word32},
+                                 PackedCase{1, 11, PackedKvFormat::Word32}}) {
+        const std::size_t d = pc.intBits == 7 ? 64 : 16;
+        const RandomTask t = makeTask(rng, 12, d);
+        const QuantizedAttention qa(t.key, t.value, pc.intBits,
+                                    pc.fracBits);
+        ASSERT_EQ(qa.packedFormat(), pc.format);
+        expectBitIdentical(qa.run(t.query),
+                           figure5Oracle(t.key, t.value, t.query,
+                                         allRows(12), pc.intBits,
+                                         pc.fracBits));
+    }
+}
+
+TEST(QuantizedPacked, Int16ExactAtTheWidestAxpyProduct)
+{
+    // Q1.10 sits on the axpy bound (i + 3f = 31). A one-row subset
+    // gives that row the largest weight (1.0, saturated to 2^20 - 1),
+    // and saturated values put every lane at +-(2^11 - 1): the
+    // largest products the int16 kernels may ever form.
+    const std::size_t n = 5;
+    for (std::size_t d : {7u, 16u, 33u}) {
+        SCOPED_TRACE("d=" + std::to_string(d));
+        Matrix key(n, d);
+        Matrix value(n, d);
+        Vector query(d);
+        for (std::size_t r = 0; r < n; ++r) {
+            for (std::size_t c = 0; c < d; ++c) {
+                key(r, c) = (r + c) % 2 ? 3.0f : -3.0f;
+                value(r, c) = (r + c) % 3 ? 3.0f : -3.0f;
+            }
+        }
+        for (std::size_t c = 0; c < d; ++c)
+            query[c] = c % 2 ? -3.0f : 3.0f;
+        const QuantizedAttention int16(key, value, 1, 10);
+        ASSERT_EQ(int16.packedFormat(), PackedKvFormat::Int16);
+        const QuantizedAttention word32(key, value, 1, 10,
+                                        PackedKvFormat::Word32);
+        const Kernels &original = activeKernels();
+        for (KernelIsa isa : availableKernelIsas()) {
+            SCOPED_TRACE(kernelIsaName(isa));
+            setActiveKernels(kernelsFor(isa));
+            for (const std::vector<std::uint32_t> &rows :
+                 {std::vector<std::uint32_t>{3}, allRows(n)}) {
+                AttentionResult a;
+                AttentionResult b;
+                int16.runRowsInto(query, rows, a);
+                word32.runRowsInto(query, rows, b);
+                expectBitIdentical(a, b);
+            }
+        }
+        setActiveKernels(original);
+    }
 }
 
 TEST(QuantizedPacked, PackedBitIdenticalToWord32)
@@ -287,8 +383,10 @@ TEST(QuantizedPacked, EveryLayoutMatchesScalarOracle)
         PackedKvFormat layout;
     } cases[] = {
         {4, 4, PackedKvFormat::Word32}, {3, 4, PackedKvFormat::Word32},
-        {3, 4, PackedKvFormat::Int8},   {2, 4, PackedKvFormat::Int8},
-        {1, 2, PackedKvFormat::Int4},   {2, 1, PackedKvFormat::Int4},
+        {4, 4, PackedKvFormat::Int16},  {4, 6, PackedKvFormat::Int16},
+        {4, 8, PackedKvFormat::Int16},  {3, 4, PackedKvFormat::Int8},
+        {2, 4, PackedKvFormat::Int8},   {1, 2, PackedKvFormat::Int4},
+        {2, 1, PackedKvFormat::Int4},
     };
     for (const auto &c : cases) {
         SCOPED_TRACE(std::string("Q") + std::to_string(c.intBits) +
@@ -415,9 +513,15 @@ TEST(QuantizedPacked, MemoryFootprintShrinksAsDocumented)
     const RandomTask t = makeTask(rng, n, d);
 
     // The Word32 footprint is format-independent: 2 sides * 4 bytes.
-    const QuantizedAttention word32(t.key, t.value, 4, 4);
-    ASSERT_EQ(word32.packedFormat(), PackedKvFormat::Word32);
+    const QuantizedAttention word32(t.key, t.value, 4, 4,
+                                    PackedKvFormat::Word32);
     EXPECT_EQ(word32.memoryBytes(), 2 * n * d * sizeof(std::int32_t));
+
+    // The paper default i = f = 4 packs onto int16: exactly half.
+    const QuantizedAttention int16(t.key, t.value, 4, 4);
+    ASSERT_EQ(int16.packedFormat(), PackedKvFormat::Int16);
+    EXPECT_EQ(int16.memoryBytes(), 2 * n * d * sizeof(std::int16_t));
+    EXPECT_EQ(int16.memoryBytes() * 2, word32.memoryBytes());
 
     const QuantizedAttention int8(t.key, t.value, 3, 4);
     ASSERT_EQ(int8.packedFormat(), PackedKvFormat::Int8);
@@ -497,11 +601,47 @@ TEST(QuantizedPackedDeath, MakeBackendRejectsTooNarrowLane)
     EXPECT_EXIT(makeBackend(cfg, t.key, t.value),
                 ::testing::ExitedWithCode(1), "4-bit packed K/V lane");
 
+    cfg.intBits = 8;
+    cfg.fracBits = 8;  // 17-bit word
+    cfg.packedKv = PackedKvFormat::Int16;
+    EXPECT_EXIT(makeBackend(cfg, t.key, t.value),
+                ::testing::ExitedWithCode(1), "16-bit packed K/V lane");
+
+    // A 16-bit word whose dot format overflows the int32 kernels at
+    // this width: an explicit int16 request is refused, not wrapped.
+    cfg.intBits = 7;
+    cfg.fracBits = 8;
+    const RandomTask wide = makeTask(rng, 4, 64);
+    EXPECT_EXIT(makeBackend(cfg, wide.key, wide.value),
+                ::testing::ExitedWithCode(1), "int32 dot or axpy");
+
     // Exactly at the lane width is accepted.
     cfg.intBits = 1;
     cfg.fracBits = 2;  // 4-bit word
+    cfg.packedKv = PackedKvFormat::Int4;
     EXPECT_EQ(makeBackend(cfg, t.key, t.value)->memoryBytes(),
               2 * 8 * 4);
+}
+
+TEST(QuantizedPackedDeath, FatalExitsCleanlyWhilePoolThreadsRun)
+{
+    // fatal() ends the process with status 1 even when engine pool
+    // lanes are alive: no static destructor may pull state out from
+    // under them.
+    Rng rng(5109);
+    const RandomTask t = makeTask(rng, 8, 8);
+    EngineConfig cfg;
+    cfg.kind = EngineKind::ExactQuantized;
+    cfg.intBits = 4;
+    cfg.fracBits = 4;
+    cfg.packedKv = PackedKvFormat::Int8;
+    EXPECT_EXIT(
+        {
+            const auto warm = makeBackend(EngineConfig{}, t.key, t.value);
+            AttentionEngine::shared().run(*warm, {t.query, t.query});
+            makeBackend(cfg, t.key, t.value);
+        },
+        ::testing::ExitedWithCode(1), "8-bit packed K/V lane");
 }
 
 }  // namespace

@@ -300,23 +300,59 @@ TEST(RemoteProtocolTest, RejectsOutOfRangeEnums)
               NetError::Malformed);
 }
 
+TEST(RemoteProtocolTest, PackedInt16LaneCrossesTheWire)
+{
+    Rng rng(5);
+    BindShardPayload bind;
+    bind.config = configFor(EngineKind::ExactQuantized);
+    bind.config.packedKv = PackedKvFormat::Int16;
+    bind.key = randomMatrix(rng, 3, 4);
+    bind.value = randomMatrix(rng, 3, 4);
+    Frame frame = encodeBindShard(bind);
+    BindShardPayload out;
+    ASSERT_TRUE(decodeBindShard(frame, out).ok());
+    EXPECT_EQ(out.config.packedKv, PackedKvFormat::Int16);
+
+    // The layout byte follows shardId (u32), generation (u64), kind
+    // (u8), intBits and fracBits (u32 each); one past Int16 is out of
+    // range.
+    const std::size_t layoutByte = 4 + 8 + 1 + 4 + 4;
+    ASSERT_EQ(frame.payload[layoutByte],
+              static_cast<std::uint8_t>(PackedKvFormat::Int16));
+    frame.payload[layoutByte] += 1;
+    EXPECT_FALSE(decodeBindShard(frame, out).ok());
+
+    // The worker accepts an explicit int16 lane the task fits, and
+    // refuses one whose word or int32 kernels it would overflow.
+    EngineConfig config = configFor(EngineKind::ExactQuantized);
+    config.packedKv = PackedKvFormat::Int16;
+    EXPECT_TRUE(validateRemoteEngineConfig(config, 64).ok());
+    config.intBits = 8;
+    config.fracBits = 8;  // 17-bit word
+    EXPECT_FALSE(validateRemoteEngineConfig(config, 64).ok());
+    config.intBits = 7;  // 16-bit word, 37-bit dot format at d = 64
+    EXPECT_FALSE(validateRemoteEngineConfig(config, 64).ok());
+    config.packedKv = PackedKvFormat::Auto;  // falls back to Word32
+    EXPECT_TRUE(validateRemoteEngineConfig(config, 64).ok());
+}
+
 TEST(RemoteProtocolTest, WorkerConfigValidationMatchesMakeBackend)
 {
     EngineConfig config = configFor(EngineKind::ExactQuantized);
-    EXPECT_TRUE(validateRemoteEngineConfig(config).ok());
+    EXPECT_TRUE(validateRemoteEngineConfig(config, 16).ok());
 
     config.intBits = 0;
-    EXPECT_FALSE(validateRemoteEngineConfig(config).ok());
+    EXPECT_FALSE(validateRemoteEngineConfig(config, 16).ok());
 
     config = configFor(EngineKind::ExactQuantized);
     config.intBits = 20;
     config.fracBits = 20;  // 41-bit word over the 32-bit lane
-    EXPECT_FALSE(validateRemoteEngineConfig(config).ok());
+    EXPECT_FALSE(validateRemoteEngineConfig(config, 16).ok());
 
     // Float kinds ignore the quantization fields entirely.
     config = configFor(EngineKind::ExactFloat);
     config.intBits = -3;
-    EXPECT_TRUE(validateRemoteEngineConfig(config).ok());
+    EXPECT_TRUE(validateRemoteEngineConfig(config, 16).ok());
 }
 
 // -------------------------------------------------- fault injector
@@ -654,6 +690,38 @@ TEST(RemoteCoordinatorTest, SingleShardMatchesUnshardedBitExactly)
             const Vector query = randomQuery(rng, 8);
             expectBitIdentical(remote.run(query),
                                plain->run(query));
+        }
+    }
+}
+
+TEST(RemoteCoordinatorTest, PackedInt16ShardsMatchWord32)
+{
+    // configFor's Q5.6 is a 12-bit word: Auto binds every remote shard
+    // on the int16 lane, which must answer bit for bit like Word32.
+    Rng rng(107);
+    const std::size_t n = 70;
+    const std::size_t d = 16;
+    const Matrix key = randomMatrix(rng, n, d);
+    const Matrix value = randomMatrix(rng, n, d);
+    for (const EngineKind kind :
+         {EngineKind::ExactQuantized, EngineKind::ApproxQuantized}) {
+        const EngineConfig inner = configFor(kind);
+        EngineConfig word32 = inner;
+        word32.packedKv = PackedKvFormat::Word32;
+        for (const std::size_t shardRows : {16u, 128u}) {
+            Fleet fleet = makeFleet(2);
+            RemoteShardConfig config = fastConfig();
+            config.shardRows = shardRows;
+            RemoteShardCoordinator remote(inner, key, value,
+                                          fleet.specs(), config);
+            ShardedBackend reference(word32, key, value,
+                                     ShardedConfig{shardRows});
+            for (int i = 0; i < 4; ++i) {
+                const Vector query = randomQuery(rng, d);
+                expectBitIdentical(remote.run(query),
+                                   reference.run(query));
+            }
+            EXPECT_EQ(remote.stats().localFallbacks, 0u);
         }
     }
 }
