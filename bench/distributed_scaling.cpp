@@ -4,10 +4,17 @@
  * JSON object:
  *
  *  - "worker_count_sweep": fixed context, sweeping the worker-fleet
- *    size. Each row reports coordinator queries/sec over real
- *    shard_worker processes on AF_UNIX sockets and a bit_identical
- *    flag against the in-process ShardedBackend — the distributed
- *    tier must change *where* partials run, never *what* they are.
+ *    size over one shard layout (two shards per worker of the
+ *    largest fleet). Each row reports coordinator queries/sec over real
+ *    shard_worker processes on AF_UNIX sockets twice: "qps" drives
+ *    direct runInto() calls (one query at a time, its shards
+ *    pipelined), "engine_qps" drives the whole query batch through a
+ *    4-lane AttentionEngine::runGroupsInto, whose (query, shard)
+ *    units overlap across queries. "engine_speedup_vs_1_worker" is
+ *    engine_qps over the 1-worker row's, measured in the same run.
+ *    bit_identical checks both paths against the in-process
+ *    ShardedBackend — the distributed tier must change *where*
+ *    partials run, never *what* they are.
  *  - "kill_recovery": the acceptance experiment. A fleet serves at
  *    steady state, one worker is SIGKILLed under load, and the rows
  *    report the qps during the failover window, the recovered qps
@@ -36,6 +43,7 @@
 
 #include "attention/backend.hpp"
 #include "bench_common.hpp"
+#include "engine/engine.hpp"
 #include "net/process.hpp"
 #include "serving/remote_coordinator.hpp"
 #include "serving/sharded_backend.hpp"
@@ -125,6 +133,8 @@ struct SweepRow
     std::size_t shards = 0;
     std::size_t replication = 0;
     double qps = 0.0;
+    double engineQps = 0.0;
+    double engineSpeedupVs1 = 0.0;
     int bitIdentical = 1;
     std::size_t repeats = 0;
 };
@@ -166,6 +176,33 @@ measureQps(const AttentionBackend &backend,
     return static_cast<double>(queries.size()) / seconds.min();
 }
 
+/**
+ * Queries/sec of whole-batch passes through a 4-lane engine; each
+ * timed sample spans kEnginePasses passes, since one pass of a small
+ * batch lasts about a millisecond.
+ */
+double
+measureEngineQps(const AttentionBackend &backend,
+                 const std::vector<Vector> &queries,
+                 std::size_t repeats,
+                 std::vector<std::vector<AttentionResult>> &results)
+{
+    constexpr std::size_t kEnginePasses = 4;
+    const AttentionEngine engine(4);
+    const std::vector<AttentionRequestGroup> groups{
+        {&backend, queries, QueryContext()}};
+    engine.runGroupsInto(groups, results);  // warm-up
+    RunningStat seconds;
+    for (std::size_t r = 0; r < repeats; ++r) {
+        const double start = now();
+        for (std::size_t pass = 0; pass < kEnginePasses; ++pass)
+            engine.runGroupsInto(groups, results);
+        seconds.add(now() - start);
+    }
+    return static_cast<double>(queries.size() * kEnginePasses) /
+           seconds.min();
+}
+
 RemoteShardConfig
 benchConfig(std::size_t totalRows, std::size_t workers,
             std::size_t replication)
@@ -185,8 +222,8 @@ benchConfig(std::size_t totalRows, std::size_t workers,
 
 SweepRow
 measureWorkers(const std::string &workerBin, std::size_t workers,
-               const Matrix &key, const Matrix &value,
-               const AttentionBackend &sharded,
+               std::size_t shardRows, const Matrix &key,
+               const Matrix &value, const AttentionBackend &sharded,
                const std::vector<Vector> &queries,
                std::size_t repeats)
 {
@@ -194,9 +231,11 @@ measureWorkers(const std::string &workerBin, std::size_t workers,
     Fleet fleet = spawnFleet(workerBin, workers, "sweep");
     const std::size_t replication =
         std::min<std::size_t>(2, workers);
-    RemoteShardCoordinator remote(
-        inner, key, value, fleet.specs,
-        benchConfig(key.rows(), workers, replication));
+    RemoteShardConfig config =
+        benchConfig(key.rows(), workers, replication);
+    config.shardRows = shardRows;
+    RemoteShardCoordinator remote(inner, key, value, fleet.specs,
+                                  config);
 
     SweepRow row;
     row.workers = workers;
@@ -205,14 +244,17 @@ measureWorkers(const std::string &workerBin, std::size_t workers,
     row.shards = remote.shardCount();
     row.replication = replication;
     row.qps = measureQps(remote, queries, repeats);
+    std::vector<std::vector<AttentionResult>> batch;
+    row.engineQps = measureEngineQps(remote, queries, repeats, batch);
     row.repeats = repeats;
 
     AttentionResult got;
     AttentionResult want;
-    for (const Vector &q : queries) {
-        remote.runInto(q, got);
-        sharded.runInto(q, want);
-        if (!bitIdentical(got, want))
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+        remote.runInto(queries[q], got);
+        sharded.runInto(queries[q], want);
+        if (!bitIdentical(got, want) ||
+            !bitIdentical(batch.front()[q], want))
             row.bitIdentical = 0;
     }
     return row;
@@ -299,10 +341,13 @@ printSweepRows(const char *label, const std::vector<SweepRow> &rows,
         std::printf("    {\"workers\": %zu, \"rows\": %zu, "
                     "\"dims\": %zu, \"shards\": %zu, "
                     "\"replication\": %zu, \"qps\": %.1f, "
+                    "\"engine_qps\": %.1f, "
+                    "\"engine_speedup_vs_1_worker\": %.3f, "
                     "\"bit_identical\": %d, \"repeats\": %zu}%s\n",
                     r.workers, r.rows, r.dims, r.shards,
-                    r.replication, r.qps, r.bitIdentical,
-                    r.repeats, i + 1 < rows.size() ? "," : "");
+                    r.replication, r.qps, r.engineQps,
+                    r.engineSpeedupVs1, r.bitIdentical, r.repeats,
+                    i + 1 < rows.size() ? "," : "");
     }
     std::printf("  ]%s\n", last ? "" : ",");
 }
@@ -411,24 +456,27 @@ main(int argc, char **argv)
             x = static_cast<float>(rng.normal());
     }
 
-    // --- Worker-count sweep vs the bit-identity reference. Each
-    // fleet uses its own shard layout, so the reference is rebuilt
-    // with the matching shardRows.
+    // --- Worker-count sweep vs the bit-identity reference. Every
+    // fleet serves the same shard layout (two shards per worker of
+    // the largest fleet), so worker count is the only variable.
     std::vector<SweepRow> sweepRows;
     std::vector<std::size_t> fleetSizes{1, 2};
     if (workers > 2)
         fleetSizes.push_back(workers);
-    for (const std::size_t count : fleetSizes) {
+    {
         const EngineConfig inner;
         ShardedConfig ref;
-        ref.shardRows = benchConfig(totalRows, count,
-                                    std::min<std::size_t>(2, count))
-                            .shardRows;
+        ref.shardRows =
+            benchConfig(totalRows, fleetSizes.back(), 2).shardRows;
         const ShardedBackend sharded(inner, key, value, ref);
-        sweepRows.push_back(measureWorkers(workerBin, count, key,
-                                           value, sharded, queries,
-                                           repeats));
+        for (const std::size_t count : fleetSizes)
+            sweepRows.push_back(measureWorkers(
+                workerBin, count, ref.shardRows, key, value, sharded,
+                queries, repeats));
     }
+    for (SweepRow &row : sweepRows)
+        row.engineSpeedupVs1 =
+            row.engineQps / sweepRows.front().engineQps;
 
     // --- Kill-one-worker recovery at the requested fleet size.
     std::vector<RecoveryRow> recoveryRows;
@@ -453,7 +501,7 @@ main(int argc, char **argv)
     if (!csvPath.empty()) {
         CsvWriter csv(csvPath);
         csv.writeRow({"sweep", "workers", "rows", "shards",
-                      "replication", "qps", "steady_qps",
+                      "replication", "qps", "engine_qps", "steady_qps",
                       "failover_qps", "recovered_qps",
                       "recovered_qps_ratio", "failed_queries",
                       "bit_identical"});
@@ -463,15 +511,16 @@ main(int argc, char **argv)
                           std::to_string(r.rows),
                           std::to_string(r.shards),
                           std::to_string(r.replication),
-                          std::to_string(r.qps), "", "", "", "", "",
-                          std::to_string(r.bitIdentical)});
+                          std::to_string(r.qps),
+                          std::to_string(r.engineQps), "", "", "", "",
+                          "", std::to_string(r.bitIdentical)});
         }
         for (const RecoveryRow &r : recoveryRows) {
             csv.writeRow({"kill_recovery",
                           std::to_string(r.workers),
                           std::to_string(r.rows),
                           std::to_string(r.shards),
-                          std::to_string(r.replication), "",
+                          std::to_string(r.replication), "", "",
                           std::to_string(r.steadyQps),
                           std::to_string(r.failoverQps),
                           std::to_string(r.recoveredQps),

@@ -44,6 +44,18 @@ class WireWriter;
 class WireReader;
 
 /**
+ * Per-call state of one query, passed explicitly to each backend call
+ * that answers it: two requests never see each other's context.
+ */
+struct QueryContext
+{
+    /** Absolute std::chrono::steady_clock deadline in seconds since
+     *  its epoch; 0 = none. Backends that wait on workers stop
+     *  waiting then; compute-only backends ignore it. */
+    double deadlineSeconds = 0.0;
+};
+
+/**
  * One preprocessed key/value task that can answer queries. runInto()
  * must be const and thread-compatible: the AttentionEngine calls it
  * from many threads concurrently, and batched results are required to
@@ -78,6 +90,13 @@ class AttentionBackend
      */
     virtual void runInto(const Vector &query,
                          AttentionResult &out) const = 0;
+
+    /** runInto() under a per-call context; the default ignores it. */
+    virtual void runInto(const Vector &query, AttentionResult &out,
+                         const QueryContext &) const
+    {
+        runInto(query, out);
+    }
 
     /**
      * Answer one query with softmax partials instead of a normalized
@@ -119,6 +138,16 @@ class AttentionBackend
     virtual void runUnitPartialInto(std::size_t unit,
                                     const Vector &query,
                                     PartialResult &out) const;
+
+    /** runUnitPartialInto() under a per-call context (the form the
+     *  engine calls); the default ignores it. */
+    virtual void runUnitPartialInto(std::size_t unit,
+                                    const Vector &query,
+                                    PartialResult &out,
+                                    const QueryContext &) const
+    {
+        runUnitPartialInto(unit, query, out);
+    }
 
     /**
      * Combine one query's per-unit partials (partials[u] from
@@ -200,21 +229,6 @@ class AttentionBackend
      * slack. Not thread-safe (like append()).
      */
     virtual std::size_t compact() { return 0; }
-
-    /**
-     * Advisory remaining-deadline hint for the next queries, in
-     * seconds (<= 0 clears the hint). The BatchScheduler publishes
-     * each drained group's tightest remaining budget before the
-     * engine pass; backends that wait on external resources (the
-     * remote shard coordinator) clamp their per-query waits to it.
-     * Purely advisory and monotonic-cheap: the default is a no-op,
-     * and implementations store it in a relaxed atomic — the hint
-     * must be settable on a const backend from the drain thread.
-     */
-    virtual void queryDeadlineHint(double remainingSeconds) const
-    {
-        (void)remainingSeconds;
-    }
 };
 
 /** Which functional engine answers the queries. */

@@ -24,6 +24,7 @@ struct GroupView
     const AttentionBackend *backend = nullptr;
     const std::vector<Vector> *queries = nullptr;
     std::vector<AttentionResult> *results = nullptr;
+    QueryContext context;
 };
 
 /**
@@ -129,11 +130,11 @@ runFlattened(const ThreadPool &pool,
         if (unitCount[item.group] == 1) {
             // The backend's exact sequential path — required for the
             // single-unit bit-identity guarantee.
-            view.backend->runInto(query, slot);
+            view.backend->runInto(query, slot, view.context);
         } else {
             const std::size_t f = queryBase[item.group] + item.query;
-            view.backend->runUnitPartialInto(item.unit, query,
-                                             partials[f][item.unit]);
+            view.backend->runUnitPartialInto(
+                item.unit, query, partials[f][item.unit], view.context);
             if (unitsLeft[f].fetch_sub(
                     1, std::memory_order_acq_rel) != 1)
                 return;
@@ -200,7 +201,8 @@ AttentionEngine::runInto(const AttentionBackend &backend,
     // Multi-unit backend (a sharded session): flatten every (query,
     // shard) unit of the batch into one work list so shard partials
     // from all the queries share the pool lanes.
-    const std::vector<GroupView> views{{&backend, &queries, &results}};
+    const std::vector<GroupView> views{
+        {&backend, &queries, &results, QueryContext()}};
     runFlattened(pool_, views, GroupCompletionHook());
 }
 
@@ -231,7 +233,7 @@ AttentionEngine::runGroupsInto(
     std::vector<GroupView> views(groups.size());
     for (std::size_t g = 0; g < groups.size(); ++g)
         views[g] = {groups[g].backend, &groups[g].queries,
-                    &results[g]};
+                    &results[g], groups[g].context};
     runFlattened(pool_, views, onGroupDone);
 }
 

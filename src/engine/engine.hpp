@@ -37,12 +37,14 @@ namespace a3 {
 /**
  * One batch of queries sharing a preprocessed backend — a sequence, a
  * head, or one episode of a request stream. The backend is borrowed
- * and must outlive the engine call.
+ * and must outlive the engine call. The engine hands `context` to
+ * every backend call it makes for the group's queries.
  */
 struct AttentionRequestGroup
 {
     const AttentionBackend *backend = nullptr;
     std::vector<Vector> queries;
+    QueryContext context;
 };
 
 /**

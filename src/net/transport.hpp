@@ -22,10 +22,11 @@
  * waiting for the first byte leaves the connection usable — the
  * retry path depends on that distinction.
  *
- * Thread safety: a Transport is not thread-safe; callers (the
- * coordinator's internal lock, the worker's single serve loop)
- * serialize access. close() is the exception: it may be called from
- * another thread to unblock a pending recv() (shutdown(2) under the
+ * Thread safety: a Transport is full duplex — one send() and one
+ * recv() may run concurrently (the coordinator sends under its
+ * worker lock while one waiter receives), but two sends or two
+ * receives must be serialized by the caller. close() may be called
+ * from any thread to unblock a pending recv() (shutdown(2) under the
  * hood), which is how in-process workers stop deterministically.
  */
 

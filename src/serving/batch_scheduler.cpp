@@ -419,8 +419,6 @@ BatchScheduler::drain()
     std::vector<std::shared_ptr<AttentionBackend>> pinned;
     std::vector<std::string> sessionOf;
     std::vector<std::vector<std::uint64_t>> ticketsOf;
-    /** Minimum remaining deadline budget per group; 0 = none. */
-    std::vector<double> groupBudget;
     std::unordered_map<std::string, std::size_t> groupIndex;
     for (std::size_t r = 0; r < batch.size(); ++r) {
         const std::string &session = batchSession[r];
@@ -437,8 +435,7 @@ BatchScheduler::drain()
                 g = sessionOf.size();
                 sessionOf.push_back(session);
                 ticketsOf.emplace_back();
-                groupBudget.push_back(0.0);
-                groups.push_back({backend.get(), {}});
+                groups.push_back({backend.get(), {}, QueryContext()});
                 pinned.push_back(std::move(backend));
             }
             groupIndex.emplace(session, g);
@@ -449,31 +446,17 @@ BatchScheduler::drain()
             continue;
         }
         if (batch[r].deadlineSeconds > 0.0) {
-            // Expired requests were shed at claim time, so the
-            // remaining budget is positive here.
-            const double remaining =
-                batch[r].deadlineSeconds -
-                (claimSeconds - batch[r].submitSeconds);
-            if (remaining > 0.0 &&
-                (groupBudget[g] == 0.0 || remaining < groupBudget[g]))
-                groupBudget[g] = remaining;
+            // The group's context carries its tightest absolute
+            // deadline: backends that wait on workers stop waiting
+            // when the most urgent request's budget runs out.
+            const double deadline =
+                batch[r].submitSeconds + batch[r].deadlineSeconds;
+            double &groupDeadline = groups[g].context.deadlineSeconds;
+            if (groupDeadline == 0.0 || deadline < groupDeadline)
+                groupDeadline = deadline;
         }
         groups[g].queries.push_back(std::move(batch[r].query));
         ticketsOf[g].push_back(batch[r].ticket);
-    }
-
-    // Publish each group's tightest remaining budget to its backend
-    // before the pass: a remote-coordinated session caps its
-    // per-query worker waits at the request's actual remaining time
-    // instead of the coordinator's static queryDeadlineSeconds, so a
-    // request that already spent most of its budget queueing cannot
-    // stall the drain for the full static deadline on a sick worker.
-    std::size_t hintedGroups = 0;
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-        if (groupBudget[g] > 0.0) {
-            groups[g].backend->queryDeadlineHint(groupBudget[g]);
-            ++hintedGroups;
-        }
     }
 
     // Local results: each drain owns its buffers, so concurrent
@@ -519,7 +502,6 @@ BatchScheduler::drain()
         counters_.answered += completions.size();
         counters_.groups += groups.size();
         counters_.workUnits += passUnits;
-        counters_.deadlineHintedGroups += hintedGroups;
         // Queue wait is measured submit-to-claim; a submit that raced
         // in between our clock read and the claim lock can look
         // sub-zero by the race window, so clamp at 0.

@@ -98,7 +98,9 @@ struct SubmitOptions
      * ServingError::DeadlineExpired completion, and a submit whose
      * deadline provably cannot be met (queued work ahead × observed
      * p95 per-request service time already over budget) is rejected
-     * up front with RejectedDeadlineUnmeetable.
+     * up front with RejectedDeadlineUnmeetable. An executed request's
+     * group carries the earliest absolute deadline of its requests in
+     * AttentionRequestGroup::context.
      */
     double deadlineSeconds = 0.0;
 
@@ -172,13 +174,6 @@ struct BatchSchedulerStats
      *  drains; workUnits / answered is the mean decomposition
      *  factor the engine scheduled at. */
     std::uint64_t workUnits = 0;
-
-    /** Request groups that carried a deadline into the engine pass:
-     *  before each pass, every group holding >= 1 deadline request
-     *  gets its minimum remaining budget published to the backend
-     *  via queryDeadlineHint() (remote coordinators tighten their
-     *  per-query waits to it instead of the static config). */
-    std::uint64_t deadlineHintedGroups = 0;
 
     /** Total shed submits; submitted - rejected() were admitted. */
     std::uint64_t rejected() const

@@ -9,17 +9,27 @@
 namespace a3 {
 
 std::vector<std::size_t>
-balancedShardSizes(std::size_t n, std::size_t shardRows)
+growShardLayout(std::vector<std::size_t> sizes, std::size_t added,
+                std::size_t shardRows)
 {
-    a3Assert(n > 0, "cannot partition an empty task");
     a3Assert(shardRows > 0, "shardRows must be positive");
-    const std::size_t shardCount =
-        (n + shardRows - 1) / shardRows;
-    const std::size_t base = n / shardCount;
-    const std::size_t extra = n % shardCount;
-    std::vector<std::size_t> sizes(shardCount, base);
-    for (std::size_t s = 0; s < extra; ++s)
-        ++sizes[s];
+    if (sizes.empty()) {
+        a3Assert(added > 0, "cannot partition an empty task");
+        const std::size_t shardCount =
+            (added + shardRows - 1) / shardRows;
+        sizes.assign(shardCount, added / shardCount);
+        for (std::size_t s = 0; s < added % shardCount; ++s)
+            ++sizes[s];
+        return sizes;
+    }
+    while (added > 0) {
+        if (sizes.back() >= shardRows)
+            sizes.push_back(0);
+        const std::size_t take =
+            std::min(shardRows - sizes.back(), added);
+        sizes.back() += take;
+        added -= take;
+    }
     return sizes;
 }
 

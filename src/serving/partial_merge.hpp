@@ -12,7 +12,7 @@
  * supplied the partial (the merge only sees *which* partials, never
  * *where* they were computed).
  *
- * balancedShardSizes() is the matching layout half: both backends
+ * growShardLayout() is the matching layout half: both backends
  * must slice rows identically or the per-shard partials would
  * differ before the merge even runs.
  */
@@ -28,14 +28,18 @@
 namespace a3 {
 
 /**
- * Row counts of the ceil(n / shardRows) row-contiguous shards a
- * fresh bind partitions `n` rows into: sizes differ by at most one
- * (the first n % S shards are one row larger) and never exceed
- * shardRows. This is the layout contract ShardedBackend and
- * RemoteShardCoordinator share.
+ * Row counts of the row-contiguous shards after `added` rows join a
+ * layout whose shards hold `sizes` rows. A fresh bind (empty
+ * `sizes`) partitions the rows into ceil(added / shardRows) balanced
+ * shards: sizes differ by at most one (the first added % S are one
+ * row larger). An append fills the last shard to shardRows, then
+ * opens new shards of at most shardRows. Existing shards only grow,
+ * so shard s keeps its offset. This is the layout contract the
+ * store-less ShardedBackend and RemoteShardCoordinator share.
  */
-std::vector<std::size_t> balancedShardSizes(std::size_t n,
-                                            std::size_t shardRows);
+std::vector<std::size_t> growShardLayout(std::vector<std::size_t> sizes,
+                                         std::size_t added,
+                                         std::size_t shardRows);
 
 /**
  * Log-sum-exp combine of per-shard partials, serially in shard

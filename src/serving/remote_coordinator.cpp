@@ -62,6 +62,67 @@ retryable(NetError error)
            error == NetError::BadChecksum;
 }
 
+std::chrono::steady_clock::time_point
+steadyTimePoint(double seconds)
+{
+    return std::chrono::steady_clock::time_point(
+        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+            std::chrono::duration<double>(seconds)));
+}
+
+/** Receive one frame before the absolute steady-clock `deadline`. */
+NetStatus
+recvBefore(Transport &transport, double deadline, Frame &out)
+{
+    const double remaining = deadline - nowSeconds();
+    if (remaining <= 0.0)
+        return NetStatus::failure(NetError::Timeout,
+                                  "deadline expired");
+    return transport.recv(out, remaining);
+}
+
+/** Decode shard `shardId`'s reply into `result` when the query
+ *  asked for the full result, else into `partial`. */
+NetStatus
+decodeShardReply(const Frame &frame, std::uint32_t shardId,
+                 PartialResult *partial, AttentionResult *result)
+{
+    const bool wantFull = result != nullptr;
+    if (frame.type == FrameType::ErrorReply) {
+        ErrorReplyPayload error;
+        const NetStatus status = decodeErrorReply(frame, error);
+        if (!status.ok())
+            return status;
+        return NetStatus::failure(error.code, error.message);
+    }
+    const FrameType expected =
+        wantFull ? FrameType::ResultReply : FrameType::PartialReply;
+    if (frame.type != expected)
+        return NetStatus::failure(NetError::Malformed,
+                                  "unexpected reply type");
+    // Decode into the caller's buffers: swap them into the payload
+    // and back, so a steady stream of replies allocates nothing.
+    std::uint32_t replyShard = 0;
+    NetStatus status = NetStatus::success();
+    if (wantFull) {
+        ResultReplyPayload reply;
+        std::swap(reply.result, *result);
+        status = decodeResultReply(frame, reply);
+        std::swap(reply.result, *result);
+        replyShard = reply.shardId;
+    } else {
+        PartialReplyPayload reply;
+        std::swap(reply.partial, *partial);
+        status = decodePartialReply(frame, reply);
+        std::swap(reply.partial, *partial);
+        replyShard = reply.shardId;
+    }
+    if (status.ok() && replyShard != shardId)
+        return NetStatus::failure(NetError::Malformed,
+                                  "reply for wrong shard");
+    return status;
+}
+
 }  // namespace
 
 RemoteWorkerSpec
@@ -106,32 +167,15 @@ RemoteShardCoordinator::RemoteShardCoordinator(
 
     workers_.reserve(specs.size());
     for (RemoteWorkerSpec &spec : specs) {
-        Worker worker;
-        worker.spec = std::move(spec);
-        workers_.push_back(std::move(worker));
+        workers_.push_back(std::make_unique<Worker>());
+        workers_.back()->spec = std::move(spec);
+        connectWorker(*workers_.back());
     }
-    for (std::size_t w = 0; w < workers_.size(); ++w)
-        connectWorker(w);
-
-    const std::vector<std::size_t> sizes =
-        balancedShardSizes(key_.rows(), config_.shardRows);
-    std::size_t offset = 0;
-    shards_.reserve(sizes.size());
-    for (std::size_t s = 0; s < sizes.size(); ++s) {
-        Shard shard;
-        shard.id = static_cast<std::uint32_t>(s);
-        shard.offset = offset;
-        shard.rowCount = sizes[s];
-        shard.generation = 1;
-        shards_.push_back(std::move(shard));
-        offset += sizes[s];
-    }
-    ensureReplicationAll(/*countRebinds=*/false);
+    growLayout(key_.rows());
 
     // The background heartbeat starts only after the shards are
     // fully bound, so the thread never observes a half-constructed
-    // coordinator. It shares heartbeat() with direct callers — the
-    // coordinator mutex serializes them.
+    // coordinator.
     if (config_.heartbeatPeriodSeconds > 0.0) {
         const std::chrono::duration<double> period(
             config_.heartbeatPeriodSeconds);
@@ -164,12 +208,13 @@ RemoteShardCoordinator::~RemoteShardCoordinator()
         hbCv_.notify_all();
         heartbeatThread_.join();
     }
-    for (Worker &worker : workers_) {
-        if (worker.transport == nullptr)
+    for (const std::unique_ptr<Worker> &worker : workers_) {
+        const std::lock_guard<std::mutex> lock(worker->mu);
+        if (worker->transport == nullptr)
             continue;
-        if (worker.health != WorkerHealth::Dead)
-            worker.transport->send(encodeShutdown());
-        worker.transport->close();
+        if (worker->health != WorkerHealth::Dead)
+            worker->transport->send(encodeShutdown());
+        worker->transport->close();
     }
 }
 
@@ -181,255 +226,212 @@ RemoteShardCoordinator::name() const
 }
 
 std::size_t
-RemoteShardCoordinator::rows() const
-{
-    return key_.rows();
-}
-
-std::size_t
-RemoteShardCoordinator::dims() const
-{
-    return dims_;
-}
-
-void
-RemoteShardCoordinator::queryDeadlineHint(
-    double remainingSeconds) const
-{
-    deadlineHintSeconds_.store(
-        remainingSeconds > 0.0 ? remainingSeconds : 0.0,
-        std::memory_order_relaxed);
-}
-
-double
-RemoteShardCoordinator::effectiveQueryDeadlineLocked() const
-{
-    const double hint =
-        deadlineHintSeconds_.load(std::memory_order_relaxed);
-    if (hint <= 0.0)
-        return config_.queryDeadlineSeconds;
-    // The hint only ever tightens: a generous request budget must
-    // not extend waits past the operator-configured deadline.
-    return std::min(hint, config_.queryDeadlineSeconds);
-}
-
-std::size_t
 RemoteShardCoordinator::memoryBytes() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
     // The retained task copy (the re-replication source) plus any
     // local fallback engines.
     std::size_t total =
         (key_.data().size() + value_.data().size()) *
         sizeof(float);
-    for (const Shard &shard : shards_)
-        if (shard.local != nullptr)
-            total += shard.local->memoryBytes();
+    for (const std::unique_ptr<Shard> &shard : shards_) {
+        const std::lock_guard<std::mutex> lock(shard->mu);
+        if (shard->local != nullptr)
+            total += shard->local->memoryBytes();
+    }
     return total;
-}
-
-std::size_t
-RemoteShardCoordinator::workerCount() const
-{
-    return workers_.size();
 }
 
 WorkerHealth
 RemoteShardCoordinator::workerHealth(std::size_t worker) const
 {
-    std::lock_guard<std::mutex> lock(mu_);
     a3Assert(worker < workers_.size(), "worker index ", worker,
              " out of ", workers_.size());
-    return workers_[worker].health;
-}
-
-std::size_t
-RemoteShardCoordinator::shardCount() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return shards_.size();
+    const std::lock_guard<std::mutex> lock(workers_[worker]->mu);
+    return workers_[worker]->health;
 }
 
 RemoteCoordinatorStats
 RemoteShardCoordinator::stats() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
+    const std::lock_guard<std::mutex> lock(statsMu_);
     return stats_;
+}
+
+void
+RemoteShardCoordinator::count(
+    std::size_t RemoteCoordinatorStats::*counter) const
+{
+    const std::lock_guard<std::mutex> lock(statsMu_);
+    ++(stats_.*counter);
 }
 
 bool
 RemoteShardCoordinator::workerAlive(std::size_t w) const
 {
-    const Worker &worker = workers_[w];
-    return worker.health != WorkerHealth::Dead &&
-           worker.transport != nullptr &&
-           worker.transport->isOpen();
+    Worker &worker = *workers_[w];
+    const std::lock_guard<std::mutex> lock(worker.mu);
+    return worker.alive();
 }
 
 void
-RemoteShardCoordinator::markMiss(std::size_t w)
+RemoteShardCoordinator::fileReply(Worker &worker, Frame &&frame) const
 {
-    Worker &worker = workers_[w];
-    ++worker.consecutiveMisses;
-    if (worker.consecutiveMisses >= 2)
-        markDead(w);
-    else if (worker.health == WorkerHealth::Healthy)
-        worker.health = WorkerHealth::Suspect;
+    // Another wait's reply overtook the one being awaited
+    // (pipelining, concurrent units, recovery interleave): keep it
+    // for its owner. Replies nobody awaits any more are stale.
+    const std::uint64_t id = replyRequestId(frame);
+    if (worker.outstanding.count(id) != 0)
+        worker.stash[id] = std::move(frame);
+    else
+        count(&RemoteCoordinatorStats::staleReplies);
 }
 
 void
-RemoteShardCoordinator::markDead(std::size_t w)
+RemoteShardCoordinator::noteRecvFailure(Worker &worker, NetError error,
+                                        bool miss) const
 {
-    Worker &worker = workers_[w];
-    worker.health = WorkerHealth::Dead;
-    if (worker.transport != nullptr)
-        worker.transport->close();
-    worker.stash.clear();
-}
-
-void
-RemoteShardCoordinator::markAnswered(std::size_t w)
-{
-    Worker &worker = workers_[w];
-    worker.consecutiveMisses = 0;
-    worker.health = WorkerHealth::Healthy;
-}
-
-void
-RemoteShardCoordinator::sweepClosedWorkers()
-{
-    // A transport can die outside any coordinator call (the worker
-    // process was SIGKILLed, the socket closed under us); fold
-    // that into the health state before acting on it.
-    for (std::size_t w = 0; w < workers_.size(); ++w) {
-        Worker &worker = workers_[w];
-        if (worker.health != WorkerHealth::Dead &&
-            (worker.transport == nullptr ||
-             !worker.transport->isOpen()))
-            markDead(w);
+    if (error == NetError::Timeout) {
+        count(&RemoteCoordinatorStats::timeouts);
+        if (miss)
+            worker.markMiss();
+    } else if (error == NetError::BadChecksum) {
+        count(&RemoteCoordinatorStats::checksumRejects);
+    } else {
+        worker.markDead();
     }
 }
 
 NetStatus
-RemoteShardCoordinator::connectWorker(std::size_t w)
+RemoteShardCoordinator::connectionError(Worker &worker,
+                                        const Frame &frame) const
 {
-    Worker &worker = workers_[w];
+    ErrorReplyPayload error;
+    if (decodeErrorReply(frame, error).ok())
+        return NetStatus::failure(error.code, error.message);
+    worker.markDead();
+    return NetStatus::failure(NetError::Malformed,
+                              "undecodable error reply");
+}
+
+void
+RemoteShardCoordinator::connectWorker(Worker &worker)
+{
+    // A worker whose connect or handshake fails starts out dead.
     NetStatus status = NetStatus::success();
     std::shared_ptr<Transport> transport =
         worker.spec.connect ? worker.spec.connect(status)
                             : nullptr;
-    if (transport == nullptr) {
-        if (status.ok())
-            status = NetStatus::failure(NetError::SystemError,
-                                        "connect returned no "
-                                        "transport");
-        return status;
-    }
+    if (transport == nullptr)
+        return;
     if (config_.decorateTransport)
         transport = config_.decorateTransport(std::move(transport));
 
     HelloPayload hello;
     hello.peer = "coordinator";
     status = transport->send(encodeHello(hello, /*ack=*/false));
-    if (!status.ok())
-        return status;
-    Frame frame;
     const double deadline =
         nowSeconds() + config_.queryDeadlineSeconds;
-    while (true) {
-        const double remaining = deadline - nowSeconds();
-        if (remaining <= 0.0)
-            return NetStatus::failure(NetError::Timeout,
-                                      "handshake timed out");
-        status = transport->recv(frame, remaining);
-        if (!status.ok())
-            return status;
-        if (frame.type != FrameType::HelloAck)
-            continue;
-        HelloPayload ack;
-        status = decodeHello(frame, ack);
-        if (!status.ok())
-            return status;
-        break;
+    Frame frame;
+    while (status.ok()) {
+        status = recvBefore(*transport, deadline, frame);
+        if (status.ok() && frame.type == FrameType::HelloAck) {
+            HelloPayload ack;
+            status = decodeHello(frame, ack);
+            break;
+        }
     }
+    if (!status.ok())
+        return;
+    const std::lock_guard<std::mutex> lock(worker.mu);
     worker.transport = std::move(transport);
     worker.health = WorkerHealth::Healthy;
-    worker.consecutiveMisses = 0;
-    return NetStatus::success();
+}
+
+void
+RemoteShardCoordinator::growLayout(std::size_t addedRows)
+{
+    const std::vector<std::size_t> before = sizes_;
+    sizes_ = growShardLayout(sizes_, addedRows, config_.shardRows);
+    offsets_.assign(sizes_.size(), 0);
+    for (std::size_t s = 1; s < sizes_.size(); ++s)
+        offsets_[s] = offsets_[s - 1] + sizes_[s - 1];
+    // Changed shards get a fresh generation and a full rebind —
+    // workers hold whole slices, so an incremental append frame
+    // would buy little and cost a protocol message.
+    for (std::size_t s = before.empty() ? 0 : before.size() - 1;
+         s < sizes_.size(); ++s) {
+        if (s == shards_.size()) {
+            shards_.push_back(std::make_unique<Shard>());
+            shards_.back()->id = static_cast<std::uint32_t>(s);
+        }
+        if (s < before.size() && before[s] == sizes_[s])
+            continue;
+        Shard &shard = *shards_[s];
+        const std::lock_guard<std::mutex> lock(shard.mu);
+        ++shard.generation;
+        shard.replicas.clear();
+        shard.local.reset();
+        ensureReplication(shard, /*countRebinds=*/false);
+    }
 }
 
 NetStatus
-RemoteShardCoordinator::bindShardTo(std::size_t w, Shard &shard)
+RemoteShardCoordinator::bindShardTo(std::size_t w,
+                                    const Shard &shard) const
 {
-    Worker &worker = workers_[w];
     BindShardPayload bind;
     bind.shardId = shard.id;
     bind.generation = shard.generation;
     bind.config = inner_;
-    bind.key = key_.rowSlice(shard.offset, shard.rowCount);
-    bind.value = value_.rowSlice(shard.offset, shard.rowCount);
-    NetStatus status =
-        worker.transport->send(encodeBindShard(bind));
+    bind.key = key_.rowSlice(offsets_[shard.id], sizes_[shard.id]);
+    bind.value =
+        value_.rowSlice(offsets_[shard.id], sizes_[shard.id]);
+    const Frame request = encodeBindShard(bind);
+
+    Worker &worker = *workers_[w];
+    std::unique_lock<std::mutex> lock(worker.mu);
+    worker.readDone.wait(lock, [&worker] { return !worker.reading; });
+    if (!worker.alive())
+        return NetStatus::failure(NetError::Closed, "worker is dead");
+    NetStatus status = worker.transport->send(request);
     if (!status.ok()) {
-        markDead(w);
+        worker.markDead();
         return status;
     }
-    Frame frame;
     const double deadline =
         nowSeconds() + config_.queryDeadlineSeconds;
+    Frame frame;
     while (true) {
-        const double remaining = deadline - nowSeconds();
-        if (remaining <= 0.0) {
-            markMiss(w);
-            ++stats_.timeouts;
-            return NetStatus::failure(NetError::Timeout,
-                                      "bind ack timed out");
-        }
-        status = worker.transport->recv(frame, remaining);
+        status = recvBefore(*worker.transport, deadline, frame);
         if (!status.ok()) {
-            if (status.error == NetError::Timeout) {
-                markMiss(w);
-                ++stats_.timeouts;
-            } else {
-                markDead(w);
-            }
+            noteRecvFailure(worker, status.error, /*miss=*/true);
             return status;
         }
         if (frame.type == FrameType::BindAck) {
             BindAckPayload ack;
             status = decodeBindAck(frame, ack);
             if (!status.ok()) {
-                markDead(w);
+                worker.markDead();
                 return status;
             }
             if (ack.shardId != shard.id ||
                 ack.generation != shard.generation)
                 continue;  // ack of an earlier bind
-            markAnswered(w);
+            worker.markAnswered();
             return NetStatus::success();
         }
         if (frame.type == FrameType::ErrorReply &&
-            replyRequestId(frame) == 0) {
-            ErrorReplyPayload error;
-            if (decodeErrorReply(frame, error).ok())
-                return NetStatus::failure(error.code,
-                                          error.message);
-            markDead(w);
-            return NetStatus::failure(NetError::Malformed,
-                                      "undecodable error reply");
-        }
-        if (isReplyFrame(frame)) {
-            // A pipelined query reply overtaking the bind ack.
-            worker.stash[replyRequestId(frame)] = frame;
-            continue;
-        }
+            replyRequestId(frame) == 0)
+            return connectionError(worker, frame);
+        if (isReplyFrame(frame))
+            fileReply(worker, std::move(frame));
         // HeartbeatAck and the like: skip.
     }
 }
 
 void
 RemoteShardCoordinator::ensureReplication(Shard &shard,
-                                          bool countRebinds)
+                                          bool countRebinds) const
 {
     // Drop replicas that died.
     shard.replicas.erase(
@@ -449,8 +451,6 @@ RemoteShardCoordinator::ensureReplication(Shard &shard,
          shard.replicas.size() < config_.replication;
          ++i) {
         const std::size_t w = (start + i) % workers_.size();
-        if (!workerAlive(w))
-            continue;
         if (std::find(shard.replicas.begin(),
                       shard.replicas.end(),
                       w) != shard.replicas.end())
@@ -458,208 +458,191 @@ RemoteShardCoordinator::ensureReplication(Shard &shard,
         if (bindShardTo(w, shard).ok()) {
             shard.replicas.push_back(w);
             if (countRebinds)
-                ++stats_.rebinds;
+                count(&RemoteCoordinatorStats::rebinds);
         }
     }
 }
 
-void
-RemoteShardCoordinator::ensureReplicationAll(bool countRebinds)
-{
-    for (Shard &shard : shards_)
-        ensureReplication(shard, countRebinds);
-}
-
-NetStatus
-RemoteShardCoordinator::sendQuery(std::size_t w,
-                                  const Shard &shard,
-                                  const Vector &query,
-                                  bool wantFull,
-                                  std::uint64_t &requestId)
+std::uint64_t
+RemoteShardCoordinator::sendQueryTo(std::size_t w,
+                                    const Shard &shard,
+                                    const Vector &query,
+                                    bool wantFull) const
 {
     QueryPayload payload;
-    payload.requestId = nextRequestId_++;
+    payload.requestId =
+        nextRequestId_.fetch_add(1, std::memory_order_relaxed);
     payload.shardId = shard.id;
     payload.generation = shard.generation;
     payload.wantFull = wantFull;
     payload.query = query;
-    const NetStatus status =
-        workers_[w].transport->send(encodeQuery(payload));
-    if (!status.ok()) {
-        markDead(w);
-        return status;
+    const Frame frame = encodeQuery(payload);
+
+    Worker &worker = *workers_[w];
+    const std::lock_guard<std::mutex> lock(worker.mu);
+    if (!worker.alive())
+        return 0;
+    if (!worker.transport->send(frame).ok()) {
+        worker.markDead();
+        return 0;
     }
-    requestId = payload.requestId;
-    return NetStatus::success();
+    worker.outstanding.insert(payload.requestId);
+    return payload.requestId;
 }
 
-NetStatus
-RemoteShardCoordinator::awaitReply(std::size_t w,
-                                   std::uint64_t requestId,
-                                   double deadlineSeconds,
-                                   Frame &out)
+RemoteShardCoordinator::Pending
+RemoteShardCoordinator::sendShard(Shard &shard, const Vector &query,
+                                  bool wantFull) const
 {
-    Worker &worker = workers_[w];
-    const auto stashed = worker.stash.find(requestId);
-    if (stashed != worker.stash.end()) {
-        out = std::move(stashed->second);
-        worker.stash.erase(stashed);
-        return NetStatus::success();
-    }
-    const double deadline = nowSeconds() + deadlineSeconds;
-    while (true) {
-        const double remaining = deadline - nowSeconds();
-        if (remaining <= 0.0) {
-            ++stats_.timeouts;
-            markMiss(w);
-            return NetStatus::failure(NetError::Timeout,
-                                      "reply deadline expired");
-        }
-        NetStatus status = worker.transport->recv(out, remaining);
-        if (!status.ok()) {
-            if (status.error == NetError::Timeout) {
-                ++stats_.timeouts;
-                markMiss(w);
-            } else if (status.error == NetError::BadChecksum) {
-                ++stats_.checksumRejects;
-            } else {
-                markDead(w);
-            }
-            return status;
-        }
-        if (!isReplyFrame(out))
-            continue;  // heartbeat acks, late bind acks
-        const std::uint64_t id = replyRequestId(out);
-        if (id == requestId)
-            return NetStatus::success();
-        if (out.type == FrameType::ErrorReply && id == 0) {
-            // Connection-level report (the worker rejected a
-            // corrupted or malformed frame — possibly ours).
-            ErrorReplyPayload error;
-            if (decodeErrorReply(out, error).ok())
-                return NetStatus::failure(error.code,
-                                          error.message);
-            markDead(w);
-            return NetStatus::failure(NetError::Malformed,
-                                      "undecodable error reply");
-        }
-        if (id < operationFirstId_) {
-            ++stats_.staleReplies;  // an earlier operation's reply
+    a3Assert(query.size() == dims_, "query dimension ",
+             query.size(), " does not match the task dimension ",
+             dims_);
+    const std::lock_guard<std::mutex> lock(shard.mu);
+    for (std::size_t r = 0; r < shard.replicas.size(); ++r) {
+        const std::size_t w = shard.replicas[r];
+        const std::uint64_t id =
+            sendQueryTo(w, shard, query, wantFull);
+        if (id == 0)
             continue;
+        if (r != 0) {
+            // The primary was gone before we even sent: promote the
+            // answering replica.
+            count(&RemoteCoordinatorStats::failovers);
+            std::swap(shard.replicas[0], shard.replicas[r]);
         }
-        // Another in-flight request's reply overtook ours
-        // (pipelining or recovery interleave): stash it.
-        worker.stash[id] = out;
+        return {w, id};
     }
+    return {};
 }
 
 NetStatus
-RemoteShardCoordinator::decodeShardReply(const Frame &frame,
-                                         bool wantFull,
-                                         std::uint32_t shardId,
-                                         PartialResult *partial,
-                                         AttentionResult *result)
+RemoteShardCoordinator::awaitShard(const Pending &pending,
+                                   std::uint32_t shardId,
+                                   const QueryContext &context,
+                                   PartialResult *partial,
+                                   AttentionResult *result) const
 {
-    if (frame.type == FrameType::ErrorReply) {
-        ErrorReplyPayload error;
-        const NetStatus status = decodeErrorReply(frame, error);
-        if (!status.ok())
-            return status;
-        return NetStatus::failure(error.code, error.message);
-    }
-    if (wantFull) {
-        if (frame.type != FrameType::ResultReply)
-            return NetStatus::failure(NetError::Malformed,
-                                      "expected a result reply");
-        const NetStatus status =
-            decodeResultReply(frame, resultScratch_);
-        if (!status.ok())
-            return status;
-        if (resultScratch_.shardId != shardId)
-            return NetStatus::failure(NetError::Malformed,
-                                      "reply for wrong shard");
-        std::swap(*result, resultScratch_.result);
-        return NetStatus::success();
-    }
-    if (frame.type != FrameType::PartialReply)
-        return NetStatus::failure(NetError::Malformed,
-                                  "expected a partial reply");
-    const NetStatus status =
-        decodePartialReply(frame, partialScratch_);
-    if (!status.ok())
-        return status;
-    if (partialScratch_.shardId != shardId)
-        return NetStatus::failure(NetError::Malformed,
-                                  "reply for wrong shard");
-    std::swap(*partial, partialScratch_.partial);
-    return NetStatus::success();
-}
+    Worker &worker = *workers_[pending.worker];
+    double deadline = nowSeconds() + config_.queryDeadlineSeconds;
+    // A wait cut short by the caller's deadline is the request's
+    // miss, not the worker's.
+    const bool callerBound = context.deadlineSeconds > 0.0 &&
+                             context.deadlineSeconds < deadline;
+    if (callerBound)
+        deadline = context.deadlineSeconds;
 
-NetStatus
-RemoteShardCoordinator::queryOnce(std::size_t w,
-                                  const Shard &shard,
-                                  const Vector &query,
-                                  bool wantFull,
-                                  PartialResult *partial,
-                                  AttentionResult *result)
-{
-    std::uint64_t requestId = 0;
-    NetStatus status =
-        sendQuery(w, shard, query, wantFull, requestId);
-    if (!status.ok())
-        return status;
+    // One waiter at a time receives, with the lock released so other
+    // lanes keep sending; it files every reply that is not its own
+    // in the stash and wakes the others to look there.
+    std::unique_lock<std::mutex> lock(worker.mu);
     Frame reply;
-    status = awaitReply(w, requestId,
-                        effectiveQueryDeadlineLocked(), reply);
-    if (!status.ok())
-        return status;
-    status =
-        decodeShardReply(reply, wantFull, shard.id, partial, result);
+    NetStatus status = NetStatus::success();
+    while (true) {
+        const auto stashed = worker.stash.find(pending.requestId);
+        if (stashed != worker.stash.end()) {
+            reply = std::move(stashed->second);
+            worker.stash.erase(stashed);
+            break;
+        }
+        if (worker.reading) {
+            // Wait until the reader files our reply or hands over.
+            const auto ready = [&] {
+                return !worker.reading ||
+                       worker.stash.count(pending.requestId) != 0;
+            };
+            const auto until = steadyTimePoint(deadline);
+            if (worker.readDone.wait_until(lock, until, ready))
+                continue;
+            status = NetStatus::failure(NetError::Timeout,
+                                        "deadline expired");
+        } else {
+            worker.reading = true;
+            lock.unlock();
+            status = recvBefore(*worker.transport, deadline, reply);
+            lock.lock();
+            worker.reading = false;
+            worker.readDone.notify_all();
+        }
+        if (!status.ok()) {
+            noteRecvFailure(worker, status.error, !callerBound);
+            break;
+        }
+        if (!isReplyFrame(reply))
+            continue;  // heartbeat acks, late bind acks
+        const std::uint64_t id = replyRequestId(reply);
+        if (id == pending.requestId)
+            break;
+        if (reply.type == FrameType::ErrorReply && id == 0) {
+            // The worker rejected a corrupted or malformed frame —
+            // possibly ours.
+            status = connectionError(worker, reply);
+            break;
+        }
+        fileReply(worker, std::move(reply));
+    }
+    worker.outstanding.erase(pending.requestId);
+    lock.unlock();
+
     if (status.ok())
-        markAnswered(w);
+        status = decodeShardReply(reply, shardId, partial, result);
+    if (status.ok()) {
+        lock.lock();
+        worker.markAnswered();
+    }
     return status;
 }
 
 void
-RemoteShardCoordinator::runLocal(Shard &shard, const Vector &query,
-                                 bool wantFull,
-                                 PartialResult *partial,
-                                 AttentionResult *result)
+RemoteShardCoordinator::awaitOrRecover(Shard &shard,
+                                       const Pending &pending,
+                                       const Vector &query,
+                                       const QueryContext &context,
+                                       PartialResult *partial,
+                                       AttentionResult *result) const
 {
-    if (shard.local == nullptr) {
-        ++stats_.rebinds;
-        shard.local = makeBackend(
-            inner_, key_.rowSlice(shard.offset, shard.rowCount),
-            value_.rowSlice(shard.offset, shard.rowCount));
-    }
-    ++stats_.localFallbacks;
-    if (wantFull)
-        shard.local->runInto(query, *result);
-    else
-        shard.local->runPartialInto(query, *partial);
+    if (pending.requestId != 0 &&
+        awaitShard(pending, shard.id, context, partial, result).ok())
+        return;
+    const std::lock_guard<std::mutex> lock(shard.mu);
+    recoverLocked(shard, query, context, partial, result);
 }
 
 void
-RemoteShardCoordinator::recoverShard(Shard &shard,
-                                     const Vector &query,
-                                     bool wantFull,
-                                     PartialResult *partial,
-                                     AttentionResult *result)
+RemoteShardCoordinator::recoverLocked(Shard &shard,
+                                      const Vector &query,
+                                      const QueryContext &context,
+                                      PartialResult *partial,
+                                      AttentionResult *result) const
 {
+    // Once the caller's deadline has passed, waiting on workers can
+    // no longer help: the local rung answers.
+    const auto inBudget = [&context] {
+        return context.deadlineSeconds <= 0.0 ||
+               nowSeconds() < context.deadlineSeconds;
+    };
+    const auto queryOnce = [&](std::size_t w) {
+        const Pending pending{
+            w, sendQueryTo(w, shard, query, result != nullptr)};
+        if (pending.requestId == 0)
+            return NetStatus::failure(NetError::Closed,
+                                      "query send failed");
+        return awaitShard(pending, shard.id, context, partial,
+                          result);
+    };
+
     // 2. Bounded exponential-backoff retries on the primary.
     if (!shard.replicas.empty()) {
         const std::size_t primary = shard.replicas.front();
         double backoff = config_.retryBackoffSeconds;
         for (std::size_t attempt = 0;
-             attempt < config_.maxRetries && workerAlive(primary);
+             attempt < config_.maxRetries && inBudget() &&
+             workerAlive(primary);
              ++attempt) {
             sleepSeconds(backoff);
             backoff = std::min(backoff * 2.0,
                                config_.retryBackoffMaxSeconds);
-            ++stats_.retries;
-            const NetStatus status =
-                queryOnce(primary, shard, query, wantFull,
-                          partial, result);
+            count(&RemoteCoordinatorStats::retries);
+            const NetStatus status = queryOnce(primary);
             if (status.ok())
                 return;
             if (!retryable(status.error))
@@ -667,13 +650,13 @@ RemoteShardCoordinator::recoverShard(Shard &shard,
         }
     }
     // 3. Failover to the remaining replicas.
-    for (std::size_t r = 1; r < shard.replicas.size(); ++r) {
+    for (std::size_t r = 1; r < shard.replicas.size() && inBudget();
+         ++r) {
         const std::size_t w = shard.replicas[r];
         if (!workerAlive(w))
             continue;
-        ++stats_.failovers;
-        if (queryOnce(w, shard, query, wantFull, partial, result)
-                .ok()) {
+        count(&RemoteCoordinatorStats::failovers);
+        if (queryOnce(w).ok()) {
             // Promote the answering replica.
             std::swap(shard.replicas[0], shard.replicas[r]);
             return;
@@ -681,126 +664,79 @@ RemoteShardCoordinator::recoverShard(Shard &shard,
     }
     // 4. Re-replicate onto a survivor under a fresh generation
     //    (late replies from the old binding become stale).
-    ++shard.generation;
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-        const std::size_t w =
-            (shard.id + i) % workers_.size();
-        if (!workerAlive(w))
-            continue;
-        if (!bindShardTo(w, shard).ok())
-            continue;
-        ++stats_.rebinds;
-        shard.replicas.assign(1, w);
-        ++stats_.failovers;
-        if (queryOnce(w, shard, query, wantFull, partial, result)
-                .ok())
-            return;
+    if (inBudget()) {
+        ++shard.generation;
+        shard.replicas.clear();
+        for (std::size_t i = 0; i < workers_.size() && inBudget();
+             ++i) {
+            const std::size_t w = (shard.id + i) % workers_.size();
+            if (!bindShardTo(w, shard).ok())
+                continue;
+            count(&RemoteCoordinatorStats::rebinds);
+            shard.replicas.assign(1, w);
+            count(&RemoteCoordinatorStats::failovers);
+            if (queryOnce(w).ok())
+                return;
+        }
+        shard.replicas.clear();
     }
     // 5. Local execution — the ladder never fails the query.
-    shard.replicas.clear();
-    runLocal(shard, query, wantFull, partial, result);
+    runLocal(shard, query, partial, result);
 }
 
 void
-RemoteShardCoordinator::beginOperation()
+RemoteShardCoordinator::runLocal(Shard &shard, const Vector &query,
+                                 PartialResult *partial,
+                                 AttentionResult *result) const
 {
-    sweepClosedWorkers();
-    operationFirstId_ = nextRequestId_;
-    for (Worker &worker : workers_)
-        worker.stash.clear();
+    if (shard.local == nullptr) {
+        count(&RemoteCoordinatorStats::rebinds);
+        shard.local = makeBackend(
+            inner_, key_.rowSlice(offsets_[shard.id], sizes_[shard.id]),
+            value_.rowSlice(offsets_[shard.id], sizes_[shard.id]));
+    }
+    count(&RemoteCoordinatorStats::localFallbacks);
+    if (result != nullptr)
+        shard.local->runInto(query, *result);
+    else
+        shard.local->runPartialInto(query, *partial);
 }
 
 void
 RemoteShardCoordinator::queryAllShards(const Vector &query,
-                                       bool wantFull,
-                                       PartialResult *mergedPartial,
-                                       AttentionResult *fullResult)
+                                       const QueryContext &context,
+                                       PartialResult &merged) const
 {
-    a3Assert(query.size() == dims_, "query dimension ",
-             query.size(), " does not match the task dimension ",
-             dims_);
-    beginOperation();
-
-    // Phase 1: pipeline the query to every shard's primary before
-    // awaiting any reply, so workers compute in parallel.
-    pending_.assign(shards_.size(), Pending{});
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-        Shard &shard = shards_[s];
-        for (std::size_t r = 0; r < shard.replicas.size(); ++r) {
-            const std::size_t w = shard.replicas[r];
-            if (!workerAlive(w))
-                continue;
-            std::uint64_t requestId = 0;
-            if (sendQuery(w, shard, query, wantFull, requestId)
-                    .ok()) {
-                if (r != 0) {
-                    // The primary was gone before we even sent:
-                    // promote the answering replica.
-                    ++stats_.failovers;
-                    std::swap(shard.replicas[0],
-                              shard.replicas[r]);
-                }
-                pending_[s] = {true, w, requestId};
-                break;
-            }
-        }
-    }
-
-    // Phase 2: collect in shard-index order — the fixed order the
-    // deterministic merge requires — escalating per shard on
-    // failure.
-    partials_.resize(shards_.size());
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-        Shard &shard = shards_[s];
-        PartialResult *partial =
-            wantFull ? nullptr : &partials_[s];
-        AttentionResult *result = wantFull ? fullResult : nullptr;
-        bool done = false;
-        if (pending_[s].sent) {
-            Frame reply;
-            NetStatus status = awaitReply(
-                pending_[s].worker, pending_[s].requestId,
-                effectiveQueryDeadlineLocked(), reply);
-            if (status.ok())
-                status = decodeShardReply(reply, wantFull,
-                                          shard.id, partial,
-                                          result);
-            if (status.ok()) {
-                markAnswered(pending_[s].worker);
-                done = true;
-            }
-        }
-        if (!done)
-            recoverShard(shard, query, wantFull, partial, result);
-    }
-
-    if (!wantFull) {
-        std::vector<std::size_t> offsets(shards_.size());
-        for (std::size_t s = 0; s < shards_.size(); ++s)
-            offsets[s] = shards_[s].offset;
-        mergeShardPartials(partials_, offsets, key_.rows(), dims_,
-                           *mergedPartial);
-    }
+    // Send every shard's query before awaiting any reply, so the
+    // workers compute in parallel; then collect in shard order.
+    std::vector<Pending> pending(shards_.size());
+    std::vector<PartialResult> partials(shards_.size());
+    for (std::size_t s = 0; s < shards_.size(); ++s)
+        pending[s] = sendShard(*shards_[s], query, /*wantFull=*/false);
+    for (std::size_t s = 0; s < shards_.size(); ++s)
+        awaitOrRecover(*shards_[s], pending[s], query, context,
+                       &partials[s], nullptr);
+    mergeShardPartials(partials, offsets_, key_.rows(), dims_,
+                       merged);
 }
 
 void
 RemoteShardCoordinator::runInto(const Vector &query,
-                                AttentionResult &out) const
+                                AttentionResult &out,
+                                const QueryContext &context) const
 {
-    auto *self = const_cast<RemoteShardCoordinator *>(this);
-    std::lock_guard<std::mutex> lock(mu_);
     // Single shard: ask for the full normalized result, mirroring
     // ShardedBackend's S = 1 delegation — bit-identical for every
     // kind, including the quantized ones whose partial roundtrip
     // is not bit-tight.
     if (shards_.size() == 1) {
-        self->queryAllShards(query, /*wantFull=*/true, nullptr,
-                             &out);
+        Shard &shard = *shards_.front();
+        awaitOrRecover(shard, sendShard(shard, query, true), query,
+                       context, nullptr, &out);
         return;
     }
-    thread_local PartialResult merged;
-    self->queryAllShards(query, /*wantFull=*/false, &merged,
-                         nullptr);
+    PartialResult merged;
+    queryAllShards(query, context, merged);
     finalizePartialInto(merged, out);
 }
 
@@ -808,9 +744,32 @@ void
 RemoteShardCoordinator::runPartialInto(const Vector &query,
                                        PartialResult &out) const
 {
-    auto *self = const_cast<RemoteShardCoordinator *>(this);
-    std::lock_guard<std::mutex> lock(mu_);
-    self->queryAllShards(query, /*wantFull=*/false, &out, nullptr);
+    queryAllShards(query, QueryContext(), out);
+}
+
+void
+RemoteShardCoordinator::runUnitPartialInto(
+    std::size_t unit, const Vector &query, PartialResult &out,
+    const QueryContext &context) const
+{
+    a3Assert(unit < shards_.size(), "work unit ", unit, " out of ",
+             shards_.size());
+    Shard &shard = *shards_[unit];
+    awaitOrRecover(shard, sendShard(shard, query, false), query,
+                   context, &out, nullptr);
+}
+
+void
+RemoteShardCoordinator::mergeUnitsInto(
+    const std::vector<PartialResult> &partials,
+    AttentionResult &out) const
+{
+    a3Assert(partials.size() == shards_.size(),
+             "expected one partial per shard");
+    PartialResult merged;
+    mergeShardPartials(partials, offsets_, key_.rows(), dims_,
+                       merged);
+    finalizePartialInto(merged, out);
 }
 
 void
@@ -822,98 +781,63 @@ RemoteShardCoordinator::append(const Matrix &keyRows,
              "appended key/value shape mismatch");
     a3Assert(keyRows.cols() == dims_,
              "appended rows must match the task dimension");
-    std::lock_guard<std::mutex> lock(mu_);
+    const std::lock_guard<std::mutex> layout(layoutMu_);
     key_.appendRows(keyRows);
     value_.appendRows(valueRows);
-
-    // Mirror ShardedBackend::append's layout evolution: fill the
-    // last shard to capacity, then open new shards. Changed shards
-    // get a fresh generation and a full rebind — workers hold
-    // whole slices, so an incremental append frame would buy
-    // little and cost a protocol message.
-    const std::size_t total = keyRows.rows();
-    std::size_t consumed = 0;
-    while (consumed < total) {
-        Shard &last = shards_.back();
-        if (last.rowCount < config_.shardRows) {
-            const std::size_t take =
-                std::min(config_.shardRows - last.rowCount,
-                         total - consumed);
-            last.rowCount += take;
-            ++last.generation;
-            last.replicas.clear();
-            last.local.reset();
-            consumed += take;
-            ensureReplication(last, /*countRebinds=*/false);
-        } else {
-            Shard shard;
-            shard.id = static_cast<std::uint32_t>(shards_.size());
-            shard.offset = last.offset + last.rowCount;
-            shard.rowCount = std::min(config_.shardRows,
-                                      total - consumed);
-            shard.generation = 1;
-            consumed += shard.rowCount;
-            shards_.push_back(std::move(shard));
-            ensureReplication(shards_.back(),
-                              /*countRebinds=*/false);
-        }
-    }
+    growLayout(keyRows.rows());
 }
 
 void
 RemoteShardCoordinator::heartbeat()
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    sweepClosedWorkers();
-    for (std::size_t w = 0; w < workers_.size(); ++w) {
-        Worker &worker = workers_[w];
-        if (!workerAlive(w))
+    const std::lock_guard<std::mutex> layout(layoutMu_);
+    for (const std::unique_ptr<Worker> &entry : workers_) {
+        Worker &worker = *entry;
+        std::unique_lock<std::mutex> lock(worker.mu);
+        worker.readDone.wait(lock,
+                             [&worker] { return !worker.reading; });
+        if (!worker.alive())
             continue;
         HeartbeatPayload beat;
         beat.sequence = ++worker.heartbeatSeq;
-        NetStatus status =
-            worker.transport->send(encodeHeartbeat(beat, false));
-        if (!status.ok()) {
-            markDead(w);
+        if (!worker.transport->send(encodeHeartbeat(beat, false))
+                 .ok()) {
+            worker.markDead();
             continue;
         }
         const double deadline =
             nowSeconds() + config_.heartbeatTimeoutSeconds;
         bool acked = false;
         Frame frame;
-        while (true) {
-            const double remaining = deadline - nowSeconds();
-            if (remaining <= 0.0)
-                break;
-            status = worker.transport->recv(frame, remaining);
+        while (!acked) {
+            const NetStatus status =
+                recvBefore(*worker.transport, deadline, frame);
             if (!status.ok()) {
                 if (status.error != NetError::Timeout)
-                    markDead(w);
+                    worker.markDead();
                 break;
             }
             if (frame.type == FrameType::HeartbeatAck) {
+                // Anything but this probe's ack is an earlier one's.
                 HeartbeatPayload ack;
-                if (decodeHeartbeat(frame, ack).ok() &&
-                    ack.sequence == beat.sequence) {
-                    acked = true;
-                    break;
-                }
-                continue;  // an earlier probe's ack
-            }
-            if (isReplyFrame(frame)) {
-                ++stats_.staleReplies;
-                continue;
+                acked = decodeHeartbeat(frame, ack).ok() &&
+                        ack.sequence == beat.sequence;
+            } else if (isReplyFrame(frame)) {
+                fileReply(worker, std::move(frame));
             }
         }
-        if (acked)
-            markAnswered(w);
-        else if (worker.health != WorkerHealth::Dead) {
-            ++stats_.timeouts;
-            markMiss(w);
+        if (acked) {
+            worker.markAnswered();
+        } else if (worker.health != WorkerHealth::Dead) {
+            count(&RemoteCoordinatorStats::timeouts);
+            worker.markMiss();
         }
     }
     // Re-replicate the shards the dead workers were holding.
-    ensureReplicationAll(/*countRebinds=*/true);
+    for (const std::unique_ptr<Shard> &shard : shards_) {
+        const std::lock_guard<std::mutex> lock(shard->mu);
+        ensureReplication(*shard, /*countRebinds=*/true);
+    }
 }
 
 }  // namespace a3

@@ -37,14 +37,33 @@
  * drives heartbeat() at that period (stopped and joined by the
  * destructor before any shutdown frame is sent); at the default 0
  * no thread is spawned and callers drive heartbeats explicitly —
- * the deterministic mode the health-machine tests rely on. Both
- * modes may coexist: heartbeat() is safe to call concurrently with
- * the background thread, serialized by the coordinator mutex.
+ * the deterministic mode the health-machine tests rely on.
  *
- * Thread safety: one internal mutex serializes all operations;
- * parallelism comes from the worker fan-out (queries are pipelined
- * to all shards before any reply is awaited), not from concurrent
- * coordinator calls.
+ * Shards are the engine's work units: with S > 1 shards,
+ * workUnitCount() is S, runUnitPartialInto(s, ...) sends shard s's
+ * query and then awaits it or walks the ladder, and mergeUnitsInto()
+ * is the shared fixed-order merge — so AttentionEngine overlaps
+ * remote shards across the queries of a batch. A direct runInto()
+ * pipelines on the calling thread: every shard's query goes out
+ * before the replies are awaited in shard order.
+ *
+ * Deadlines: each reply wait ends at the earlier of
+ * queryDeadlineSeconds from its start and the call's
+ * QueryContext::deadlineSeconds. Only a wait that ran its full
+ * queryDeadlineSeconds counts against the worker's health; a wait
+ * cut short by the caller's deadline does not, and once that
+ * deadline has passed the ladder skips to the local rung.
+ *
+ * Thread safety: queries, heartbeat() and the accessors may run
+ * concurrently; append() must not overlap queries (the backend
+ * contract). Each worker has a lock over its transport, reply
+ * stash, health and outstanding request ids; one waiter at a time
+ * receives with it released, so sends to a worker overlap the wait
+ * for its replies. Each shard has a lock over its replicas,
+ * generation and local fallback; a layout lock serializes
+ * heartbeat() calls with each other and with append(). Lock order:
+ * layout, then shard, then worker; the stats lock is a leaf. No
+ * lock is held across more than one shard of a query.
  */
 
 #ifndef A3_SERVING_REMOTE_COORDINATOR_HPP
@@ -57,6 +76,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -164,26 +184,35 @@ class RemoteShardCoordinator final : public AttentionBackend
 
     std::string name() const override;
     void runInto(const Vector &query,
-                 AttentionResult &out) const override;
+                 AttentionResult &out) const override
+    {
+        runInto(query, out, QueryContext());
+    }
+    void runInto(const Vector &query, AttentionResult &out,
+                 const QueryContext &context) const override;
     void runPartialInto(const Vector &query,
                         PartialResult &out) const override;
+    /** One unit per shard; a single shard stays one unit, so the
+     *  engine takes the full-result runInto() path. */
+    std::size_t workUnitCount() const override
+    {
+        return shards_.size();
+    }
+    void runUnitPartialInto(std::size_t unit, const Vector &query,
+                            PartialResult &out) const override
+    {
+        runUnitPartialInto(unit, query, out, QueryContext());
+    }
+    void runUnitPartialInto(std::size_t unit, const Vector &query,
+                            PartialResult &out,
+                            const QueryContext &context) const override;
+    void mergeUnitsInto(const std::vector<PartialResult> &partials,
+                        AttentionResult &out) const override;
     void append(const Matrix &keyRows,
                 const Matrix &valueRows) override;
     std::size_t memoryBytes() const override;
-    std::size_t rows() const override;
-    std::size_t dims() const override;
-
-    /**
-     * Per-request deadline budget from the scheduler: subsequent
-     * query waits use min(hint, queryDeadlineSeconds) instead of the
-     * static config deadline, so a request with little budget left
-     * stops waiting on a sick worker sooner and escalates down the
-     * recovery ladder. Advisory and sticky until the next hint; only
-     * the two per-query reply waits tighten — handshake, bind, and
-     * heartbeat waits keep their configured deadlines (they protect
-     * binding durability, not one request's latency).
-     */
-    void queryDeadlineHint(double remainingSeconds) const override;
+    std::size_t rows() const override { return key_.rows(); }
+    std::size_t dims() const override { return dims_; }
 
     /**
      * Probe every non-dead worker and apply the health transitions,
@@ -193,116 +222,150 @@ class RemoteShardCoordinator final : public AttentionBackend
      */
     void heartbeat();
 
-    std::size_t workerCount() const;
+    std::size_t workerCount() const { return workers_.size(); }
     WorkerHealth workerHealth(std::size_t worker) const;
-    std::size_t shardCount() const;
+    std::size_t shardCount() const { return shards_.size(); }
     RemoteCoordinatorStats stats() const;
 
   private:
     struct Worker
     {
         RemoteWorkerSpec spec;
+
+        std::mutex mu;
+        /** One waiter at a time receives, outside `mu`; the others
+         *  wait on readDone for their reply to reach the stash. Bind
+         *  and heartbeat receive under `mu` once no one reads. */
+        bool reading = false;
+        std::condition_variable readDone;
         std::shared_ptr<Transport> transport;
         WorkerHealth health = WorkerHealth::Dead;
         std::size_t consecutiveMisses = 0;
         std::uint64_t heartbeatSeq = 0;
-
-        /** Replies received while awaiting a different request —
-         *  pipelining and recovery interleave replies on one
-         *  connection. Cleared at every operation start. */
+        /** Query ids sent to this worker and still awaited; a reply
+         *  with any other id is stale. */
+        std::set<std::uint64_t> outstanding;
+        /** Replies to outstanding ids, received by another waiter
+         *  or by a bind or heartbeat. */
         std::map<std::uint64_t, Frame> stash;
+
+        // Health transitions; each needs `mu`.
+        void markDead()
+        {
+            health = WorkerHealth::Dead;
+            if (transport != nullptr)
+                transport->close();
+            outstanding.clear();
+            stash.clear();
+        }
+        void markMiss()
+        {
+            if (++consecutiveMisses >= 2)
+                markDead();
+            else if (health == WorkerHealth::Healthy)
+                health = WorkerHealth::Suspect;
+        }
+        /** An answer clears misses; it cannot revive a Dead worker
+         *  (another lane may have closed it meanwhile). */
+        void markAnswered()
+        {
+            if (health == WorkerHealth::Dead)
+                return;
+            consecutiveMisses = 0;
+            health = WorkerHealth::Healthy;
+        }
+        /** Live, folding a transport that died under us (a
+         *  SIGKILLed worker, a closed socket) into Dead first. */
+        bool alive()
+        {
+            if (health != WorkerHealth::Dead &&
+                (transport == nullptr || !transport->isOpen()))
+                markDead();
+            return health != WorkerHealth::Dead;
+        }
     };
 
     struct Shard
     {
         std::uint32_t id = 0;
-        std::size_t offset = 0;
-        std::size_t rowCount = 0;
-        std::uint64_t generation = 0;
 
+        std::mutex mu;
+        std::uint64_t generation = 0;
         /** Worker indices holding this shard, primary first. */
         std::vector<std::size_t> replicas;
-
         /** Last-resort local engine (built on first local
          *  fallback, dropped when the shard's rows change). */
         std::unique_ptr<AttentionBackend> local;
     };
 
-    /** One in-flight shard query of the pipelined fan-out. */
+    /** One sent shard query; requestId 0 = nothing was sent. */
     struct Pending
     {
-        bool sent = false;
         std::size_t worker = 0;
         std::uint64_t requestId = 0;
     };
 
+    void count(std::size_t RemoteCoordinatorStats::*counter) const;
+
+    // Worker state; each takes or needs the worker's lock.
     bool workerAlive(std::size_t w) const;
-    void markMiss(std::size_t w);
-    void markDead(std::size_t w);
-    void markAnswered(std::size_t w);
+    void fileReply(Worker &worker, Frame &&frame) const;
+    void noteRecvFailure(Worker &worker, NetError error,
+                         bool miss) const;
+    NetStatus connectionError(Worker &worker,
+                              const Frame &frame) const;
+    void connectWorker(Worker &worker);
 
-    /** Demote workers whose transport closed under us to Dead. */
-    void sweepClosedWorkers();
+    /** Extend the layout by `addedRows`, rebinding changed shards. */
+    void growLayout(std::size_t addedRows);
 
-    NetStatus connectWorker(std::size_t w);
-    NetStatus bindShardTo(std::size_t w, Shard &shard);
-    void ensureReplication(Shard &shard, bool countRebinds);
-    void ensureReplicationAll(bool countRebinds);
+    // Shard state; each needs the shard's lock.
+    NetStatus bindShardTo(std::size_t w, const Shard &shard) const;
+    void ensureReplication(Shard &shard, bool countRebinds) const;
+    std::uint64_t sendQueryTo(std::size_t w, const Shard &shard,
+                              const Vector &query,
+                              bool wantFull) const;
+    void recoverLocked(Shard &shard, const Vector &query,
+                       const QueryContext &context,
+                       PartialResult *partial,
+                       AttentionResult *result) const;
+    void runLocal(Shard &shard, const Vector &query,
+                  PartialResult *partial,
+                  AttentionResult *result) const;
 
-    NetStatus sendQuery(std::size_t w, const Shard &shard,
-                        const Vector &query, bool wantFull,
-                        std::uint64_t &requestId);
-    NetStatus awaitReply(std::size_t w, std::uint64_t requestId,
-                         double deadlineSeconds, Frame &out);
-    NetStatus decodeShardReply(const Frame &frame, bool wantFull,
-                               std::uint32_t shardId,
-                               PartialResult *partial,
-                               AttentionResult *result);
-    NetStatus queryOnce(std::size_t w, const Shard &shard,
-                        const Vector &query, bool wantFull,
+    // One shard of one query: send to the first live replica, then
+    // await the reply or walk the ladder (never fails). Replies go
+    // to `result` for a full-result query, else to `partial`.
+    Pending sendShard(Shard &shard, const Vector &query,
+                      bool wantFull) const;
+    NetStatus awaitShard(const Pending &pending, std::uint32_t shardId,
+                         const QueryContext &context,
+                         PartialResult *partial,
+                         AttentionResult *result) const;
+    void awaitOrRecover(Shard &shard, const Pending &pending,
+                        const Vector &query,
+                        const QueryContext &context,
                         PartialResult *partial,
-                        AttentionResult *result);
-
-    /** The full escalation ladder for one shard; never fails. */
-    void recoverShard(Shard &shard, const Vector &query,
-                      bool wantFull, PartialResult *partial,
-                      AttentionResult *result);
-
-    void runLocal(Shard &shard, const Vector &query, bool wantFull,
-                  PartialResult *partial, AttentionResult *result);
-
-    void queryAllShards(const Vector &query, bool wantFull,
-                        PartialResult *mergedPartial,
-                        AttentionResult *fullResult);
-
-    void beginOperation();
+                        AttentionResult *result) const;
+    void queryAllShards(const Vector &query,
+                        const QueryContext &context,
+                        PartialResult &merged) const;
 
     EngineConfig inner_;
     RemoteShardConfig config_;
     Matrix key_;
     Matrix value_;
     std::size_t dims_ = 0;
+    /** Shard row counts and first global row ids (growShardLayout). */
+    std::vector<std::size_t> sizes_;
+    std::vector<std::size_t> offsets_;
 
-    /** Effective deadline for one query reply wait (see
-     *  queryDeadlineHint). */
-    double effectiveQueryDeadlineLocked() const;
-
-    mutable std::mutex mu_;
-    /** Latest scheduler hint in seconds; 0 = none (use the static
-     *  config deadline). Relaxed atomic: written from the drain
-     *  thread through the const backend pointer, read under mu_. */
-    mutable std::atomic<double> deadlineHintSeconds_{0.0};
-    mutable std::vector<Worker> workers_;
-    mutable std::vector<Shard> shards_;
-    mutable std::uint64_t nextRequestId_ = 1;
-    mutable std::uint64_t operationFirstId_ = 1;
+    std::vector<std::unique_ptr<Worker>> workers_;
+    std::vector<std::unique_ptr<Shard>> shards_;
+    std::mutex layoutMu_;
+    mutable std::atomic<std::uint64_t> nextRequestId_{1};
+    mutable std::mutex statsMu_;
     mutable RemoteCoordinatorStats stats_;
-
-    /** Reused fan-out buffers (all access is under mu_). */
-    mutable std::vector<Pending> pending_;
-    mutable std::vector<PartialResult> partials_;
-    mutable PartialReplyPayload partialScratch_;
-    mutable ResultReplyPayload resultScratch_;
 
     /** Background heartbeat machinery (heartbeatPeriodSeconds > 0):
      *  the thread waits on hbCv_ so the destructor can interrupt a

@@ -24,11 +24,10 @@ ShardedBackend::ShardedBackend(const EngineConfig &inner, Matrix key,
     if (config_.store == nullptr) {
         // Legacy store-less layout: row-contiguous, size-balanced
         // partition (the layout contract shared with
-        // RemoteShardCoordinator via balancedShardSizes). Balanced
-        // sizes never exceed shardRows, so append() capacity math
-        // stays valid. Private handles: no hashing, no sharing.
+        // RemoteShardCoordinator via growShardLayout). Private
+        // handles: no hashing, no sharing.
         const std::vector<std::size_t> sizes =
-            balancedShardSizes(key.rows(), config_.shardRows);
+            growShardLayout({}, key.rows(), config_.shardRows);
         std::size_t offset = 0;
         shards_.reserve(sizes.size());
         offsets_.reserve(sizes.size());
@@ -227,26 +226,27 @@ ShardedBackend::append(const Matrix &keyRows, const Matrix &valueRows)
     a3Assert(keyRows.cols() == dims_,
              "appended rows must match the task dimension");
 
+    // Fill the tail to capacity, then open new tails
+    // (growShardLayout). Store-backed, a tail that reaches capacity
+    // freezes; store-less mode never freezes, so a full private tail
+    // just stays full. Only a full shard is ever frozen, so the
+    // layout never grows one.
     const bool storeBacked = config_.store != nullptr;
-    const std::size_t total = keyRows.rows();
+    std::vector<std::size_t> sizes(shards_.size());
+    for (std::size_t s = 0; s < shards_.size(); ++s)
+        sizes[s] = shards_[s]->rows();
+    const std::vector<std::size_t> grown =
+        growShardLayout(sizes, keyRows.rows(), config_.shardRows);
     std::size_t consumed = 0;
-    while (consumed < total) {
-        ShardHandle &last = *shards_.back();
-        const std::size_t lastRows = last.rows();
-        if (lastRows < config_.shardRows && !last.frozen()) {
-            // Fill the mutable tail to capacity first.
-            const std::size_t take = std::min(
-                config_.shardRows - lastRows, total - consumed);
-            last.appendRows(keyRows.rowSlice(consumed, take),
-                            valueRows.rowSlice(consumed, take));
-            consumed += take;
-            if (storeBacked && last.rows() == config_.shardRows)
-                freezeTail();
+    for (std::size_t s = sizes.size() - 1; s < grown.size(); ++s) {
+        const std::size_t take =
+            grown[s] - (s < sizes.size() ? sizes[s] : 0);
+        if (take == 0)
+            continue;
+        if (s < sizes.size()) {
+            shards_[s]->appendRows(keyRows.rowSlice(consumed, take),
+                                   valueRows.rowSlice(consumed, take));
         } else {
-            // Open a new tail for the overflow. Store-less mode
-            // never freezes, so a full private tail just stays full.
-            const std::size_t take =
-                std::min(config_.shardRows, total - consumed);
             offsets_.push_back(offsets_.back() +
                                shards_.back()->rows());
             shards_.push_back(
@@ -256,10 +256,10 @@ ShardedBackend::append(const Matrix &keyRows, const Matrix &valueRows)
                     : ShardHandle::bindPrivate(inner_, keyRows,
                                                valueRows, consumed,
                                                take));
-            consumed += take;
-            if (storeBacked && take == config_.shardRows)
-                freezeTail();
         }
+        consumed += take;
+        if (storeBacked && grown[s] == config_.shardRows)
+            freezeTail();
     }
 }
 

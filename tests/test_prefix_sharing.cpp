@@ -9,16 +9,18 @@
  * SessionCache typed surface (BindOutcome / AppendOutcome /
  * SessionHandle staleness), shared-bytes-once budget accounting,
  * eviction safety for shared shards, copy-on-append tail isolation,
- * freeze-path compaction, and deadline-hint propagation from the
- * scheduler into backends.
+ * freeze-path compaction, and the per-call deadline context the
+ * scheduler hands to backends.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -911,19 +913,28 @@ TEST(SessionHandles, SchedulerSubmitsThroughHandles)
 
 // -- Deadline-budget propagation ------------------------------------
 
-/** Reference wrapper that records the last deadline hint it saw. */
-class HintRecordingBackend final : public AttentionBackend
+/** Reference wrapper that records the context of every call. */
+class ContextRecordingBackend final : public AttentionBackend
 {
   public:
-    HintRecordingBackend(Matrix key, Matrix value)
+    ContextRecordingBackend(Matrix key, Matrix value)
         : inner_(std::move(key), std::move(value))
     {
     }
 
-    std::string name() const override { return "hint-recorder"; }
+    std::string name() const override { return "context-recorder"; }
     void runInto(const Vector &query,
                  AttentionResult &out) const override
     {
+        inner_.runInto(query, out);
+    }
+    void runInto(const Vector &query, AttentionResult &out,
+                 const QueryContext &context) const override
+    {
+        {
+            const std::lock_guard<std::mutex> lock(mu_);
+            deadlines_.push_back(context.deadlineSeconds);
+        }
         inner_.runInto(query, out);
     }
     void runPartialInto(const Vector &query,
@@ -943,48 +954,69 @@ class HintRecordingBackend final : public AttentionBackend
     std::size_t rows() const override { return inner_.rows(); }
     std::size_t dims() const override { return inner_.dims(); }
 
-    void queryDeadlineHint(double remainingSeconds) const override
+    /** QueryContext::deadlineSeconds of each call, in call order. */
+    std::vector<double> deadlines() const
     {
-        lastHint_ = remainingSeconds;
-        ++hintCalls_;
+        const std::lock_guard<std::mutex> lock(mu_);
+        return deadlines_;
     }
-
-    double lastHint() const { return lastHint_; }
-    std::size_t hintCalls() const { return hintCalls_; }
 
   private:
     ReferenceAttention inner_;
-    mutable double lastHint_ = -1.0;
-    mutable std::size_t hintCalls_ = 0;
+    mutable std::mutex mu_;
+    mutable std::vector<double> deadlines_;
 };
+
+double
+steadyNowSeconds()
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+}
 
 TEST(DeadlineBudget, DrainPublishesRemainingBudgetToBackends)
 {
     Rng rng(83);
     const std::size_t d = 8;
     SessionCache cache;
-    auto recorder = std::make_shared<HintRecordingBackend>(
+    auto recorder = std::make_shared<ContextRecordingBackend>(
         randomMatrix(rng, 32, d), randomMatrix(rng, 32, d));
     cache.insert("doc", recorder);
 
     AttentionEngine engine(1);
     BatchScheduler scheduler(engine, cache);
 
-    SubmitOptions options;
-    options.deadlineSeconds = 5.0;
-    auto admitted =
-        scheduler.submit("doc", randomQuery(rng, d), options);
-    ASSERT_TRUE(admitted.admitted());
+    // Two requests of one session: the group's context carries the
+    // earlier absolute deadline, submit time + budget.
+    SubmitOptions loose;
+    loose.deadlineSeconds = 50.0;
+    SubmitOptions tight;
+    tight.deadlineSeconds = 5.0;
+    const double before = steadyNowSeconds();
+    ASSERT_TRUE(
+        scheduler.submit("doc", randomQuery(rng, d), loose).admitted());
+    ASSERT_TRUE(
+        scheduler.submit("doc", randomQuery(rng, d), tight).admitted());
+    const double after = steadyNowSeconds();
     auto results = scheduler.drain();
-    ASSERT_EQ(results.size(), 1u);
+    ASSERT_EQ(results.size(), 2u);
     EXPECT_TRUE(results[0].ok());
+    EXPECT_TRUE(results[1].ok());
 
-    // The drain published the request's remaining budget — positive,
-    // and no more than the full deadline — before the engine pass.
-    EXPECT_EQ(recorder->hintCalls(), 1u);
-    EXPECT_GT(recorder->lastHint(), 0.0);
-    EXPECT_LE(recorder->lastHint(), 5.0);
-    EXPECT_EQ(scheduler.stats().deadlineHintedGroups, 1u);
+    const std::vector<double> deadlines = recorder->deadlines();
+    ASSERT_EQ(deadlines.size(), 2u);
+    for (const double deadline : deadlines) {
+        EXPECT_GE(deadline, before + 5.0);
+        EXPECT_LE(deadline, after + 5.0);
+    }
+
+    // The next drain's request has no deadline: nothing carries over.
+    ASSERT_TRUE(
+        scheduler.submit("doc", randomQuery(rng, d)).admitted());
+    ASSERT_EQ(scheduler.drain().size(), 1u);
+    ASSERT_EQ(recorder->deadlines().size(), 3u);
+    EXPECT_EQ(recorder->deadlines().back(), 0.0);
 }
 
 TEST(DeadlineBudget, GroupsWithoutDeadlinesPublishNoHint)
@@ -992,7 +1024,7 @@ TEST(DeadlineBudget, GroupsWithoutDeadlinesPublishNoHint)
     Rng rng(89);
     const std::size_t d = 8;
     SessionCache cache;
-    auto recorder = std::make_shared<HintRecordingBackend>(
+    auto recorder = std::make_shared<ContextRecordingBackend>(
         randomMatrix(rng, 32, d), randomMatrix(rng, 32, d));
     cache.insert("doc", recorder);
 
@@ -1002,8 +1034,8 @@ TEST(DeadlineBudget, GroupsWithoutDeadlinesPublishNoHint)
     ASSERT_TRUE(admitted.admitted());
     auto results = scheduler.drain();
     ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(recorder->hintCalls(), 0u);
-    EXPECT_EQ(scheduler.stats().deadlineHintedGroups, 0u);
+    ASSERT_EQ(recorder->deadlines().size(), 1u);
+    EXPECT_EQ(recorder->deadlines().front(), 0.0);
 }
 
 // -- Freeze-path compaction -----------------------------------------

@@ -12,8 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -1033,6 +1035,243 @@ TEST(RemoteFaultToleranceTest, SchedulerDrainSurvivesFailover)
     ASSERT_EQ(recovered.size(), 2u);
     expectWave(recovered, 8);
     EXPECT_EQ(remote->workerHealth(0), WorkerHealth::Dead);
+}
+
+/**
+ * Worker connection that answers `delaySeconds` late while `slow` is
+ * set: a recv whose timeout is shorter times out with the frame
+ * still queued, a longer one gets the frame after the delay.
+ */
+class SlowRecvTransport final : public Transport
+{
+  public:
+    SlowRecvTransport(std::shared_ptr<Transport> inner,
+                      std::shared_ptr<std::atomic<bool>> slow,
+                      double delaySeconds)
+        : inner_(std::move(inner)), slow_(std::move(slow)),
+          delay_(delaySeconds)
+    {
+    }
+
+    NetStatus send(const Frame &frame) override
+    {
+        return inner_->send(frame);
+    }
+    NetStatus recv(Frame &out, double timeoutSeconds) override
+    {
+        if (slow_->load()) {
+            if (timeoutSeconds >= 0.0 && timeoutSeconds < delay_) {
+                sleepFor(timeoutSeconds);
+                return NetStatus::failure(NetError::Timeout,
+                                          "slow worker");
+            }
+            sleepFor(delay_);
+            if (timeoutSeconds >= 0.0)
+                timeoutSeconds -= delay_;
+        }
+        return inner_->recv(out, timeoutSeconds);
+    }
+    void close() override { inner_->close(); }
+    bool isOpen() const override { return inner_->isOpen(); }
+
+  private:
+    static void sleepFor(double seconds)
+    {
+        std::this_thread::sleep_for(
+            std::chrono::duration<double>(seconds));
+    }
+
+    std::shared_ptr<Transport> inner_;
+    std::shared_ptr<std::atomic<bool>> slow_;
+    double delay_;
+};
+
+/**
+ * A deadline travels with its own request only. A drain whose group
+ * carried a short budget runs first; a later request without a
+ * deadline on the same session meets a worker that answers after
+ * that budget but well within queryDeadlineSeconds, and must be
+ * answered remotely with no timeout and no worker marked down.
+ */
+TEST(RemoteFaultToleranceTest, ShortDeadlineDoesNotStickToLaterRequests)
+{
+    Rng rng(409);
+    const std::size_t d = 8;
+    const Matrix key = randomMatrix(rng, 48, d);
+    const Matrix value = randomMatrix(rng, 48, d);
+    const EngineConfig inner = configFor(EngineKind::ExactFloat);
+
+    Fleet fleet = makeFleet(2);
+    auto slow = std::make_shared<std::atomic<bool>>(false);
+    RemoteShardConfig config = fastConfig();
+    config.queryDeadlineSeconds = 5.0;
+    config.decorateTransport =
+        [slow](std::shared_ptr<Transport> transport) {
+            return std::make_shared<SlowRecvTransport>(
+                std::move(transport), slow, 0.3);
+        };
+    auto remote = std::make_shared<RemoteShardCoordinator>(
+        inner, key, value, fleet.specs(), config);
+    ShardedBackend sharded(inner, key, value, ShardedConfig{16});
+
+    AttentionEngine engine(2);
+    SessionCache cache;
+    BatchScheduler scheduler(engine, cache);
+    cache.insert("remote", remote);
+
+    SubmitOptions tight;
+    tight.deadlineSeconds = 0.1;
+    const Vector first = randomQuery(rng, d);
+    ASSERT_TRUE(scheduler.submit("remote", first, tight).admitted());
+    const auto fast = scheduler.drain();
+    ASSERT_EQ(fast.size(), 1u);
+    ASSERT_TRUE(fast[0].ok());
+    expectBitIdentical(fast[0].result, sharded.run(first));
+    ASSERT_EQ(remote->stats().timeouts, 0u);
+
+    slow->store(true);
+    const Vector second = randomQuery(rng, d);
+    ASSERT_TRUE(scheduler.submit("remote", second).admitted());
+    const auto late = scheduler.drain();
+    slow->store(false);
+    ASSERT_EQ(late.size(), 1u);
+    ASSERT_TRUE(late[0].ok());
+    expectBitIdentical(late[0].result, sharded.run(second));
+
+    const RemoteCoordinatorStats stats = remote->stats();
+    EXPECT_EQ(stats.timeouts, 0u);
+    EXPECT_EQ(stats.retries, 0u);
+    EXPECT_EQ(stats.localFallbacks, 0u);
+    EXPECT_EQ(remote->workerHealth(0), WorkerHealth::Healthy);
+    EXPECT_EQ(remote->workerHealth(1), WorkerHealth::Healthy);
+}
+
+/** Runs `hook` once, as the `at`-th Query frame of the fleet leaves. */
+class QueryHookTransport final : public Transport
+{
+  public:
+    QueryHookTransport(std::shared_ptr<Transport> inner,
+                       std::shared_ptr<std::atomic<int>> sent, int at,
+                       std::function<void()> hook)
+        : inner_(std::move(inner)), sent_(std::move(sent)), at_(at),
+          hook_(std::move(hook))
+    {
+    }
+
+    NetStatus send(const Frame &frame) override
+    {
+        if (frame.type == FrameType::Query &&
+            sent_->fetch_add(1) + 1 == at_)
+            hook_();
+        return inner_->send(frame);
+    }
+    NetStatus recv(Frame &out, double timeoutSeconds) override
+    {
+        return inner_->recv(out, timeoutSeconds);
+    }
+    void close() override { inner_->close(); }
+    bool isOpen() const override { return inner_->isOpen(); }
+
+  private:
+    std::shared_ptr<Transport> inner_;
+    std::shared_ptr<std::atomic<int>> sent_;
+    int at_;
+    std::function<void()> hook_;
+};
+
+/**
+ * Remote shards as engine work units: 1- and 4-lane engines run
+ * batches whose (query, shard) units overlap across queries, and
+ * every answer must be bit-identical to ShardedBackend for every
+ * kind — on a clean fleet, under a seeded fault schedule, and with
+ * one worker stopped mid-batch. The concurrent units race on the
+ * per-worker and per-shard locks (the TSan job runs this test).
+ */
+TEST(RemoteEngineTest, EngineUnitsMatchShardedUnderFaultsAndWorkerLoss)
+{
+    Rng rng(503);
+    const std::size_t n = 70;  // 5 shards of 14 at shardRows 16
+    const std::size_t d = 16;
+    const Matrix key = randomMatrix(rng, n, d);
+    const Matrix value = randomMatrix(rng, n, d);
+    std::vector<Vector> queries(12);
+    for (Vector &query : queries)
+        query = randomQuery(rng, d);
+
+    enum class Scenario { Clean, Faults, WorkerStopped };
+    for (const EngineKind kind : kAllKinds) {
+        const EngineConfig inner = configFor(kind);
+        const ShardedBackend sharded(inner, key, value,
+                                     ShardedConfig{16});
+        for (const std::size_t lanes : {1u, 4u}) {
+            for (const Scenario scenario :
+                 {Scenario::Clean, Scenario::Faults,
+                  Scenario::WorkerStopped}) {
+                SCOPED_TRACE(
+                    std::string(engineKindName(kind)) + ", lanes " +
+                    std::to_string(lanes) + ", scenario " +
+                    std::to_string(static_cast<int>(scenario)));
+                Fleet fleet = makeFleet(2);
+                RemoteShardConfig config = fastConfig();
+                config.replication = 2;
+                std::shared_ptr<FaultInjector> injector;
+                if (scenario == Scenario::Faults) {
+                    config.queryDeadlineSeconds = 0.05;
+                    injector = std::make_shared<FaultInjector>(
+                        17, std::vector<FaultRule>{
+                                {FrameType::Query, false,
+                                 FaultAction::Drop,
+                                 FaultDirection::Send, 1.0, 0.0, 1},
+                                {FrameType::Query, false,
+                                 FaultAction::Corrupt,
+                                 FaultDirection::Send, 0.1, 0.0, 2},
+                                {FrameType::PartialReply, false,
+                                 FaultAction::Delay,
+                                 FaultDirection::Recv, 0.1, 0.0, 2}});
+                    config.decorateTransport =
+                        [injector](std::shared_ptr<Transport> t) {
+                            return std::make_shared<FaultyTransport>(
+                                std::move(t), injector);
+                        };
+                } else if (scenario == Scenario::WorkerStopped) {
+                    auto sent = std::make_shared<std::atomic<int>>(0);
+                    InProcessWorker *victim = fleet.workers[1].get();
+                    config.decorateTransport =
+                        [sent, victim](std::shared_ptr<Transport> t) {
+                            return std::make_shared<QueryHookTransport>(
+                                std::move(t), sent, 20,
+                                [victim] { victim->stop(); });
+                        };
+                }
+                RemoteShardCoordinator remote(inner, key, value,
+                                              fleet.specs(), config);
+                ASSERT_EQ(remote.workUnitCount(), 5u);
+
+                const AttentionEngine engine(lanes);
+                std::vector<AttentionResult> results;
+                engine.runInto(remote, queries, results);
+                ASSERT_EQ(results.size(), queries.size());
+                std::size_t failed = 0;
+                for (std::size_t q = 0; q < queries.size(); ++q) {
+                    const AttentionResult want =
+                        sharded.run(queries[q]);
+                    expectBitIdentical(results[q], want);
+                    if (results[q].output != want.output)
+                        ++failed;
+                }
+                EXPECT_EQ(failed, 0u);
+                // The engine's units agree with the direct pipelined
+                // path on the same coordinator.
+                expectBitIdentical(remote.run(queries.front()),
+                                   results.front());
+                if (injector != nullptr)
+                    EXPECT_EQ(injector->stats().dropped, 1u);
+                if (scenario == Scenario::WorkerStopped)
+                    EXPECT_EQ(remote.workerHealth(1),
+                              WorkerHealth::Dead);
+            }
+        }
+    }
 }
 
 // -------------------------------------------------- real processes
