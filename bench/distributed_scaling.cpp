@@ -9,8 +9,8 @@
  *    shard_worker processes on AF_UNIX sockets twice: "qps" drives
  *    direct runInto() calls (one query at a time, its shards
  *    pipelined), "engine_qps" drives the whole query batch through a
- *    4-lane AttentionEngine::runGroupsInto, whose (query, shard)
- *    units overlap across queries. "engine_speedup_vs_1_worker" is
+ *    4-lane AttentionEngine::runGroupsInto, each lane pipelining
+ *    one query's shards at a time. "engine_speedup_vs_1_worker" is
  *    engine_qps over the 1-worker row's, measured in the same run.
  *    bit_identical checks both paths against the in-process
  *    ShardedBackend — the distributed tier must change *where*

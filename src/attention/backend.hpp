@@ -43,15 +43,13 @@ class QuantizedAttention;
 class WireWriter;
 class WireReader;
 
-/**
- * Per-call state of one query, passed explicitly to each backend call
- * that answers it: two requests never see each other's context.
- */
+/** Per-call state of one query: two requests never share one. */
 struct QueryContext
 {
     /** Absolute std::chrono::steady_clock deadline in seconds since
-     *  its epoch; 0 = none. Backends that wait on workers stop
-     *  waiting then; compute-only backends ignore it. */
+     *  its epoch; 0 = none. A backend that waits on workers may
+     *  answer from a faster source once it passes; compute-only
+     *  backends ignore it. */
     double deadlineSeconds = 0.0;
 };
 
@@ -138,16 +136,6 @@ class AttentionBackend
     virtual void runUnitPartialInto(std::size_t unit,
                                     const Vector &query,
                                     PartialResult &out) const;
-
-    /** runUnitPartialInto() under a per-call context (the form the
-     *  engine calls); the default ignores it. */
-    virtual void runUnitPartialInto(std::size_t unit,
-                                    const Vector &query,
-                                    PartialResult &out,
-                                    const QueryContext &) const
-    {
-        runUnitPartialInto(unit, query, out);
-    }
 
     /**
      * Combine one query's per-unit partials (partials[u] from

@@ -133,8 +133,8 @@ runFlattened(const ThreadPool &pool,
             view.backend->runInto(query, slot, view.context);
         } else {
             const std::size_t f = queryBase[item.group] + item.query;
-            view.backend->runUnitPartialInto(
-                item.unit, query, partials[f][item.unit], view.context);
+            view.backend->runUnitPartialInto(item.unit, query,
+                                             partials[f][item.unit]);
             if (unitsLeft[f].fetch_sub(
                     1, std::memory_order_acq_rel) != 1)
                 return;

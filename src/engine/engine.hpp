@@ -38,7 +38,8 @@ namespace a3 {
  * One batch of queries sharing a preprocessed backend — a sequence, a
  * head, or one episode of a request stream. The backend is borrowed
  * and must outlive the engine call. The engine hands `context` to
- * every backend call it makes for the group's queries.
+ * each runInto() call for the group's queries; the shard units of a
+ * multi-unit backend compute without one.
  */
 struct AttentionRequestGroup
 {

@@ -101,7 +101,8 @@ decodeShardReply(const Frame &frame, std::uint32_t shardId,
         return NetStatus::failure(NetError::Malformed,
                                   "unexpected reply type");
     // Decode into the caller's buffers: swap them into the payload
-    // and back, so a steady stream of replies allocates nothing.
+    // and back, so buffers the caller reuses are decoded into
+    // without allocating.
     std::uint32_t replyShard = 0;
     NetStatus status = NetStatus::success();
     if (wantFull) {
@@ -274,31 +275,130 @@ RemoteShardCoordinator::workerAlive(std::size_t w) const
 }
 
 void
-RemoteShardCoordinator::fileReply(Worker &worker, Frame &&frame) const
+RemoteShardCoordinator::Worker::forget(std::uint64_t id)
 {
-    // Another wait's reply overtook the one being awaited
-    // (pipelining, concurrent units, recovery interleave): keep it
-    // for its owner. Replies nobody awaits any more are stale.
-    const std::uint64_t id = replyRequestId(frame);
-    if (worker.outstanding.count(id) != 0)
-        worker.stash[id] = std::move(frame);
-    else
-        count(&RemoteCoordinatorStats::staleReplies);
+    outstanding.erase(
+        std::remove(outstanding.begin(), outstanding.end(), id),
+        outstanding.end());
+    inbox.erase(std::remove_if(inbox.begin(), inbox.end(),
+                               [id](const Frame &frame) {
+                                   return isReplyFrame(frame) &&
+                                          replyRequestId(frame) == id;
+                               }),
+                inbox.end());
+}
+
+void
+RemoteShardCoordinator::fileFrame(Worker &worker, Frame &&frame) const
+{
+    // The reader received another waiter's frame (pipelining,
+    // concurrent lanes, recovery interleave): keep it for its owner.
+    // Replies nobody awaits any more are stale; acks nobody awaits
+    // are dropped.
+    if (isReplyFrame(frame)) {
+        const std::uint64_t id = replyRequestId(frame);
+        if (std::find(worker.outstanding.begin(),
+                      worker.outstanding.end(),
+                      id) == worker.outstanding.end()) {
+            count(&RemoteCoordinatorStats::staleReplies);
+            return;
+        }
+    } else if (worker.ackWaiters == 0 ||
+               (frame.type != FrameType::BindAck &&
+                frame.type != FrameType::HeartbeatAck)) {
+        return;
+    }
+    worker.inbox.push_back(std::move(frame));
+    ++worker.filings;
+}
+
+template <typename Mine>
+NetStatus
+RemoteShardCoordinator::awaitFrame(Worker &worker,
+                                   std::unique_lock<std::mutex> &lock,
+                                   double deadline, const Mine &mine,
+                                   Frame &out) const
+{
+    const auto until = steadyTimePoint(deadline);
+    while (true) {
+        const auto filed = std::find_if(worker.inbox.begin(),
+                                        worker.inbox.end(), mine);
+        if (filed != worker.inbox.end()) {
+            out = std::move(*filed);
+            worker.inbox.erase(filed);
+            return NetStatus::success();
+        }
+        if (worker.reading) {
+            // Wait for the reader to file a frame or hand over.
+            const std::uint64_t seen = worker.filings;
+            const auto ready = [&worker, seen] {
+                return !worker.reading || worker.filings != seen;
+            };
+            if (!worker.filed.wait_until(lock, until, ready))
+                return NetStatus::failure(NetError::Timeout,
+                                          "deadline expired");
+            continue;
+        }
+        // Receive with the lock released, so other lanes keep
+        // sending to this worker meanwhile.
+        worker.reading = true;
+        lock.unlock();
+        const NetStatus status =
+            recvBefore(*worker.transport, deadline, out);
+        lock.lock();
+        worker.reading = false;
+        const bool done = !status.ok() || mine(out);
+        if (!done)
+            fileFrame(worker, std::move(out));
+        worker.filed.notify_all();
+        if (done)
+            return status;
+    }
 }
 
 void
 RemoteShardCoordinator::noteRecvFailure(Worker &worker, NetError error,
-                                        bool miss) const
+                                        double waitStart) const
 {
     if (error == NetError::Timeout) {
         count(&RemoteCoordinatorStats::timeouts);
-        if (miss)
-            worker.markMiss();
+        worker.markTimedOut(waitStart, nowSeconds());
     } else if (error == NetError::BadChecksum) {
         count(&RemoteCoordinatorStats::checksumRejects);
     } else {
         worker.markDead();
     }
+}
+
+template <typename Mine>
+NetStatus
+RemoteShardCoordinator::exchange(Worker &worker, const Frame &request,
+                                 double timeoutSeconds,
+                                 const Mine &mine) const
+{
+    std::unique_lock<std::mutex> lock(worker.mu);
+    if (!worker.send(request))
+        return NetStatus::failure(NetError::Closed, "send failed");
+    const double start = nowSeconds();
+    ++worker.ackWaiters;
+    Frame ack;
+    NetStatus status =
+        awaitFrame(worker, lock, start + timeoutSeconds, mine, ack);
+    // The last ack wait drops the acks nobody claimed.
+    if (--worker.ackWaiters == 0)
+        worker.inbox.erase(
+            std::remove_if(worker.inbox.begin(), worker.inbox.end(),
+                           [](const Frame &frame) {
+                               return !isReplyFrame(frame);
+                           }),
+            worker.inbox.end());
+    if (!status.ok())
+        noteRecvFailure(worker, status.error, start);
+    else if (ack.type == FrameType::ErrorReply)
+        status = connectionError(worker, ack);
+    else
+        worker.markAnswered(nowSeconds());
+    return status;
 }
 
 NetStatus
@@ -326,25 +426,24 @@ RemoteShardCoordinator::connectWorker(Worker &worker)
     if (config_.decorateTransport)
         transport = config_.decorateTransport(std::move(transport));
 
+    {
+        const std::lock_guard<std::mutex> lock(worker.mu);
+        worker.transport = std::move(transport);
+        worker.health = WorkerHealth::Healthy;
+    }
     HelloPayload hello;
     hello.peer = "coordinator";
-    status = transport->send(encodeHello(hello, /*ack=*/false));
-    const double deadline =
-        nowSeconds() + config_.queryDeadlineSeconds;
-    Frame frame;
-    while (status.ok()) {
-        status = recvBefore(*transport, deadline, frame);
-        if (status.ok() && frame.type == FrameType::HelloAck) {
-            HelloPayload ack;
-            status = decodeHello(frame, ack);
-            break;
-        }
+    const auto mine = [](const Frame &frame) {
+        HelloPayload ack;
+        return frame.type == FrameType::HelloAck &&
+               decodeHello(frame, ack).ok();
+    };
+    if (!exchange(worker, encodeHello(hello, /*ack=*/false),
+                  config_.queryDeadlineSeconds, mine)
+             .ok()) {
+        const std::lock_guard<std::mutex> lock(worker.mu);
+        worker.markDead();
     }
-    if (!status.ok())
-        return;
-    const std::lock_guard<std::mutex> lock(worker.mu);
-    worker.transport = std::move(transport);
-    worker.health = WorkerHealth::Healthy;
 }
 
 void
@@ -387,46 +486,19 @@ RemoteShardCoordinator::bindShardTo(std::size_t w,
     bind.value =
         value_.rowSlice(offsets_[shard.id], sizes_[shard.id]);
     const Frame request = encodeBindShard(bind);
-
-    Worker &worker = *workers_[w];
-    std::unique_lock<std::mutex> lock(worker.mu);
-    worker.readDone.wait(lock, [&worker] { return !worker.reading; });
-    if (!worker.alive())
-        return NetStatus::failure(NetError::Closed, "worker is dead");
-    NetStatus status = worker.transport->send(request);
-    if (!status.ok()) {
-        worker.markDead();
-        return status;
-    }
-    const double deadline =
-        nowSeconds() + config_.queryDeadlineSeconds;
-    Frame frame;
-    while (true) {
-        status = recvBefore(*worker.transport, deadline, frame);
-        if (!status.ok()) {
-            noteRecvFailure(worker, status.error, /*miss=*/true);
-            return status;
-        }
-        if (frame.type == FrameType::BindAck) {
-            BindAckPayload ack;
-            status = decodeBindAck(frame, ack);
-            if (!status.ok()) {
-                worker.markDead();
-                return status;
-            }
-            if (ack.shardId != shard.id ||
-                ack.generation != shard.generation)
-                continue;  // ack of an earlier bind
-            worker.markAnswered();
-            return NetStatus::success();
-        }
-        if (frame.type == FrameType::ErrorReply &&
-            replyRequestId(frame) == 0)
-            return connectionError(worker, frame);
-        if (isReplyFrame(frame))
-            fileReply(worker, std::move(frame));
-        // HeartbeatAck and the like: skip.
-    }
+    // This bind's ack; acks of earlier binds do not match. A
+    // connection-level error reply may be the worker rejecting it.
+    const auto mine = [&shard](const Frame &frame) {
+        if (frame.type == FrameType::ErrorReply)
+            return replyRequestId(frame) == 0;
+        BindAckPayload ack;
+        return frame.type == FrameType::BindAck &&
+               decodeBindAck(frame, ack).ok() &&
+               ack.shardId == shard.id &&
+               ack.generation == shard.generation;
+    };
+    return exchange(*workers_[w], request,
+                    config_.queryDeadlineSeconds, mine);
 }
 
 void
@@ -480,13 +552,9 @@ RemoteShardCoordinator::sendQueryTo(std::size_t w,
 
     Worker &worker = *workers_[w];
     const std::lock_guard<std::mutex> lock(worker.mu);
-    if (!worker.alive())
+    if (!worker.send(frame))
         return 0;
-    if (!worker.transport->send(frame).ok()) {
-        worker.markDead();
-        return 0;
-    }
-    worker.outstanding.insert(payload.requestId);
+    worker.outstanding.push_back(payload.requestId);
     return payload.requestId;
 }
 
@@ -518,76 +586,40 @@ RemoteShardCoordinator::sendShard(Shard &shard, const Vector &query,
 NetStatus
 RemoteShardCoordinator::awaitShard(const Pending &pending,
                                    std::uint32_t shardId,
-                                   const QueryContext &context,
+                                   double waitStart, double until,
                                    PartialResult *partial,
                                    AttentionResult *result) const
 {
     Worker &worker = *workers_[pending.worker];
-    double deadline = nowSeconds() + config_.queryDeadlineSeconds;
-    // A wait cut short by the caller's deadline is the request's
-    // miss, not the worker's.
-    const bool callerBound = context.deadlineSeconds > 0.0 &&
-                             context.deadlineSeconds < deadline;
-    if (callerBound)
-        deadline = context.deadlineSeconds;
-
-    // One waiter at a time receives, with the lock released so other
-    // lanes keep sending; it files every reply that is not its own
-    // in the stash and wakes the others to look there.
+    const double full = waitStart + config_.queryDeadlineSeconds;
+    const bool cut = until < full;
+    // This query's reply, or a connection-level error reply (the
+    // worker rejected a corrupted or malformed frame, possibly ours).
+    const auto mine = [id = pending.requestId](const Frame &frame) {
+        if (!isReplyFrame(frame))
+            return false;
+        const std::uint64_t replyId = replyRequestId(frame);
+        return replyId == id ||
+               (replyId == 0 && frame.type == FrameType::ErrorReply);
+    };
     std::unique_lock<std::mutex> lock(worker.mu);
     Frame reply;
-    NetStatus status = NetStatus::success();
-    while (true) {
-        const auto stashed = worker.stash.find(pending.requestId);
-        if (stashed != worker.stash.end()) {
-            reply = std::move(stashed->second);
-            worker.stash.erase(stashed);
-            break;
-        }
-        if (worker.reading) {
-            // Wait until the reader files our reply or hands over.
-            const auto ready = [&] {
-                return !worker.reading ||
-                       worker.stash.count(pending.requestId) != 0;
-            };
-            const auto until = steadyTimePoint(deadline);
-            if (worker.readDone.wait_until(lock, until, ready))
-                continue;
-            status = NetStatus::failure(NetError::Timeout,
-                                        "deadline expired");
-        } else {
-            worker.reading = true;
-            lock.unlock();
-            status = recvBefore(*worker.transport, deadline, reply);
-            lock.lock();
-            worker.reading = false;
-            worker.readDone.notify_all();
-        }
-        if (!status.ok()) {
-            noteRecvFailure(worker, status.error, !callerBound);
-            break;
-        }
-        if (!isReplyFrame(reply))
-            continue;  // heartbeat acks, late bind acks
-        const std::uint64_t id = replyRequestId(reply);
-        if (id == pending.requestId)
-            break;
-        if (reply.type == FrameType::ErrorReply && id == 0) {
-            // The worker rejected a corrupted or malformed frame —
-            // possibly ours.
-            status = connectionError(worker, reply);
-            break;
-        }
-        fileReply(worker, std::move(reply));
+    NetStatus status =
+        awaitFrame(worker, lock, cut ? until : full, mine, reply);
+    if (cut && !status.ok() && status.error == NetError::Timeout)
+        return status;
+    worker.forget(pending.requestId);
+    if (!status.ok()) {
+        noteRecvFailure(worker, status.error, waitStart);
+        return status;
     }
-    worker.outstanding.erase(pending.requestId);
+    if (replyRequestId(reply) == 0)
+        return connectionError(worker, reply);
     lock.unlock();
-
-    if (status.ok())
-        status = decodeShardReply(reply, shardId, partial, result);
+    status = decodeShardReply(reply, shardId, partial, result);
     if (status.ok()) {
         lock.lock();
-        worker.markAnswered();
+        worker.markAnswered(nowSeconds());
     }
     return status;
 }
@@ -600,34 +632,53 @@ RemoteShardCoordinator::awaitOrRecover(Shard &shard,
                                        PartialResult *partial,
                                        AttentionResult *result) const
 {
-    if (pending.requestId != 0 &&
-        awaitShard(pending, shard.id, context, partial, result).ok())
+    const double start = nowSeconds();
+    const double full = start + config_.queryDeadlineSeconds;
+    const double cut = context.deadlineSeconds > 0.0
+                           ? context.deadlineSeconds
+                           : full;
+    NetStatus status = NetStatus::failure(NetError::Closed, "unsent");
+    if (pending.requestId != 0)
+        status = awaitShard(pending, shard.id, start, cut, partial,
+                            result);
+    if (cut < full && status.error == NetError::Timeout) {
+        // Late whichever rung answers: an existing local engine
+        // answers now, else the wait runs on (no cold local bind).
+        std::unique_lock<std::mutex> lock(shard.mu);
+        if (shard.local != nullptr) {
+            Worker &worker = *workers_[pending.worker];
+            std::unique_lock<std::mutex> hold(worker.mu);
+            worker.forget(pending.requestId);
+            hold.unlock();
+            runLocal(shard, query, partial, result);
+            return;
+        }
+        lock.unlock();
+        status = awaitShard(pending, shard.id, start, full, partial,
+                            result);
+    }
+    if (status.ok())
         return;
     const std::lock_guard<std::mutex> lock(shard.mu);
-    recoverLocked(shard, query, context, partial, result);
+    recoverLocked(shard, query, partial, result);
 }
 
 void
 RemoteShardCoordinator::recoverLocked(Shard &shard,
                                       const Vector &query,
-                                      const QueryContext &context,
                                       PartialResult *partial,
                                       AttentionResult *result) const
 {
-    // Once the caller's deadline has passed, waiting on workers can
-    // no longer help: the local rung answers.
-    const auto inBudget = [&context] {
-        return context.deadlineSeconds <= 0.0 ||
-               nowSeconds() < context.deadlineSeconds;
-    };
     const auto queryOnce = [&](std::size_t w) {
         const Pending pending{
             w, sendQueryTo(w, shard, query, result != nullptr)};
         if (pending.requestId == 0)
             return NetStatus::failure(NetError::Closed,
                                       "query send failed");
-        return awaitShard(pending, shard.id, context, partial,
-                          result);
+        const double start = nowSeconds();
+        return awaitShard(pending, shard.id, start,
+                          start + config_.queryDeadlineSeconds,
+                          partial, result);
     };
 
     // 2. Bounded exponential-backoff retries on the primary.
@@ -635,8 +686,7 @@ RemoteShardCoordinator::recoverLocked(Shard &shard,
         const std::size_t primary = shard.replicas.front();
         double backoff = config_.retryBackoffSeconds;
         for (std::size_t attempt = 0;
-             attempt < config_.maxRetries && inBudget() &&
-             workerAlive(primary);
+             attempt < config_.maxRetries && workerAlive(primary);
              ++attempt) {
             sleepSeconds(backoff);
             backoff = std::min(backoff * 2.0,
@@ -650,8 +700,7 @@ RemoteShardCoordinator::recoverLocked(Shard &shard,
         }
     }
     // 3. Failover to the remaining replicas.
-    for (std::size_t r = 1; r < shard.replicas.size() && inBudget();
-         ++r) {
+    for (std::size_t r = 1; r < shard.replicas.size(); ++r) {
         const std::size_t w = shard.replicas[r];
         if (!workerAlive(w))
             continue;
@@ -664,22 +713,19 @@ RemoteShardCoordinator::recoverLocked(Shard &shard,
     }
     // 4. Re-replicate onto a survivor under a fresh generation
     //    (late replies from the old binding become stale).
-    if (inBudget()) {
-        ++shard.generation;
-        shard.replicas.clear();
-        for (std::size_t i = 0; i < workers_.size() && inBudget();
-             ++i) {
-            const std::size_t w = (shard.id + i) % workers_.size();
-            if (!bindShardTo(w, shard).ok())
-                continue;
-            count(&RemoteCoordinatorStats::rebinds);
-            shard.replicas.assign(1, w);
-            count(&RemoteCoordinatorStats::failovers);
-            if (queryOnce(w).ok())
-                return;
-        }
-        shard.replicas.clear();
+    ++shard.generation;
+    shard.replicas.clear();
+    for (std::size_t i = 0; i < workers_.size(); ++i) {
+        const std::size_t w = (shard.id + i) % workers_.size();
+        if (!bindShardTo(w, shard).ok())
+            continue;
+        count(&RemoteCoordinatorStats::rebinds);
+        shard.replicas.assign(1, w);
+        count(&RemoteCoordinatorStats::failovers);
+        if (queryOnce(w).ok())
+            return;
     }
+    shard.replicas.clear();
     // 5. Local execution — the ladder never fails the query.
     runLocal(shard, query, partial, result);
 }
@@ -748,31 +794,6 @@ RemoteShardCoordinator::runPartialInto(const Vector &query,
 }
 
 void
-RemoteShardCoordinator::runUnitPartialInto(
-    std::size_t unit, const Vector &query, PartialResult &out,
-    const QueryContext &context) const
-{
-    a3Assert(unit < shards_.size(), "work unit ", unit, " out of ",
-             shards_.size());
-    Shard &shard = *shards_[unit];
-    awaitOrRecover(shard, sendShard(shard, query, false), query,
-                   context, &out, nullptr);
-}
-
-void
-RemoteShardCoordinator::mergeUnitsInto(
-    const std::vector<PartialResult> &partials,
-    AttentionResult &out) const
-{
-    a3Assert(partials.size() == shards_.size(),
-             "expected one partial per shard");
-    PartialResult merged;
-    mergeShardPartials(partials, offsets_, key_.rows(), dims_,
-                       merged);
-    finalizePartialInto(merged, out);
-}
-
-void
 RemoteShardCoordinator::append(const Matrix &keyRows,
                                const Matrix &valueRows)
 {
@@ -791,47 +812,18 @@ void
 RemoteShardCoordinator::heartbeat()
 {
     const std::lock_guard<std::mutex> layout(layoutMu_);
-    for (const std::unique_ptr<Worker> &entry : workers_) {
-        Worker &worker = *entry;
-        std::unique_lock<std::mutex> lock(worker.mu);
-        worker.readDone.wait(lock,
-                             [&worker] { return !worker.reading; });
-        if (!worker.alive())
-            continue;
+    for (const std::unique_ptr<Worker> &worker : workers_) {
         HeartbeatPayload beat;
-        beat.sequence = ++worker.heartbeatSeq;
-        if (!worker.transport->send(encodeHeartbeat(beat, false))
-                 .ok()) {
-            worker.markDead();
-            continue;
-        }
-        const double deadline =
-            nowSeconds() + config_.heartbeatTimeoutSeconds;
-        bool acked = false;
-        Frame frame;
-        while (!acked) {
-            const NetStatus status =
-                recvBefore(*worker.transport, deadline, frame);
-            if (!status.ok()) {
-                if (status.error != NetError::Timeout)
-                    worker.markDead();
-                break;
-            }
-            if (frame.type == FrameType::HeartbeatAck) {
-                // Anything but this probe's ack is an earlier one's.
-                HeartbeatPayload ack;
-                acked = decodeHeartbeat(frame, ack).ok() &&
-                        ack.sequence == beat.sequence;
-            } else if (isReplyFrame(frame)) {
-                fileReply(worker, std::move(frame));
-            }
-        }
-        if (acked) {
-            worker.markAnswered();
-        } else if (worker.health != WorkerHealth::Dead) {
-            count(&RemoteCoordinatorStats::timeouts);
-            worker.markMiss();
-        }
+        beat.sequence = ++worker->heartbeatSeq;
+        // Anything but this probe's ack is an earlier one's.
+        const auto mine = [&beat](const Frame &frame) {
+            HeartbeatPayload ack;
+            return frame.type == FrameType::HeartbeatAck &&
+                   decodeHeartbeat(frame, ack).ok() &&
+                   ack.sequence == beat.sequence;
+        };
+        exchange(*worker, encodeHeartbeat(beat, false),
+                 config_.heartbeatTimeoutSeconds, mine);
     }
     // Re-replicate the shards the dead workers were holding.
     for (const std::unique_ptr<Shard> &shard : shards_) {

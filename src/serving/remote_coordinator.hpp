@@ -33,37 +33,38 @@
  * missed deadline makes a worker suspect, a second consecutive miss
  * (or any unrecoverable transport failure) makes it dead, and
  * heartbeat() re-replicates a dead worker's shards onto survivors.
+ * Waits that overlap one stall count one miss between them: a
+ * timed-out wait counts a miss only if the worker has neither
+ * answered nor missed since the wait began.
  * With heartbeatPeriodSeconds set, an internal background thread
  * drives heartbeat() at that period (stopped and joined by the
  * destructor before any shutdown frame is sent); at the default 0
  * no thread is spawned and callers drive heartbeats explicitly —
  * the deterministic mode the health-machine tests rely on.
  *
- * Shards are the engine's work units: with S > 1 shards,
- * workUnitCount() is S, runUnitPartialInto(s, ...) sends shard s's
- * query and then awaits it or walks the ladder, and mergeUnitsInto()
- * is the shared fixed-order merge — so AttentionEngine overlaps
- * remote shards across the queries of a batch. A direct runInto()
- * pipelines on the calling thread: every shard's query goes out
- * before the replies are awaited in shard order.
+ * A query is one engine work unit: runInto() sends every shard's
+ * query before it awaits the replies in shard order, so one lane
+ * keeps all S shards in flight.
  *
- * Deadlines: each reply wait ends at the earlier of
- * queryDeadlineSeconds from its start and the call's
- * QueryContext::deadlineSeconds. Only a wait that ran its full
- * queryDeadlineSeconds counts against the worker's health; a wait
- * cut short by the caller's deadline does not, and once that
- * deadline has passed the ladder skips to the local rung.
+ * Deadlines: each reply wait runs queryDeadlineSeconds. When the
+ * call's QueryContext deadline passes first, the request is late
+ * whichever rung answers: a shard that already has a local engine
+ * answers from it, and otherwise the wait runs on (a cold local
+ * bind would take longer than the reply in flight). Such a cut is
+ * neither a timeout nor a miss. Lock waits are not bounded by the
+ * context: a lane may wait on a shard's lock while another lane
+ * walks that shard's ladder.
  *
  * Thread safety: queries, heartbeat() and the accessors may run
  * concurrently; append() must not overlap queries (the backend
- * contract). Each worker has a lock over its transport, reply
- * stash, health and outstanding request ids; one waiter at a time
- * receives with it released, so sends to a worker overlap the wait
- * for its replies. Each shard has a lock over its replicas,
- * generation and local fallback; a layout lock serializes
- * heartbeat() calls with each other and with append(). Lock order:
- * layout, then shard, then worker; the stats lock is a leaf. No
- * lock is held across more than one shard of a query.
+ * contract). Each worker has a lock over its transport, inbox,
+ * health and outstanding request ids. One waiter at a time (query,
+ * bind or heartbeat) receives with that lock released and files
+ * other waiters' frames in the inbox. Each shard has a lock over
+ * its replicas, generation and local fallback; a layout lock
+ * serializes heartbeat() with itself and append(). Lock order:
+ * layout, shard, worker; the stats lock is a leaf. No lock is held
+ * across a receive or across more than one shard of a query.
  */
 
 #ifndef A3_SERVING_REMOTE_COORDINATOR_HPP
@@ -73,10 +74,8 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -192,22 +191,6 @@ class RemoteShardCoordinator final : public AttentionBackend
                  const QueryContext &context) const override;
     void runPartialInto(const Vector &query,
                         PartialResult &out) const override;
-    /** One unit per shard; a single shard stays one unit, so the
-     *  engine takes the full-result runInto() path. */
-    std::size_t workUnitCount() const override
-    {
-        return shards_.size();
-    }
-    void runUnitPartialInto(std::size_t unit, const Vector &query,
-                            PartialResult &out) const override
-    {
-        runUnitPartialInto(unit, query, out, QueryContext());
-    }
-    void runUnitPartialInto(std::size_t unit, const Vector &query,
-                            PartialResult &out,
-                            const QueryContext &context) const override;
-    void mergeUnitsInto(const std::vector<PartialResult> &partials,
-                        AttentionResult &out) const override;
     void append(const Matrix &keyRows,
                 const Matrix &valueRows) override;
     std::size_t memoryBytes() const override;
@@ -233,21 +216,27 @@ class RemoteShardCoordinator final : public AttentionBackend
         RemoteWorkerSpec spec;
 
         std::mutex mu;
-        /** One waiter at a time receives, outside `mu`; the others
-         *  wait on readDone for their reply to reach the stash. Bind
-         *  and heartbeat receive under `mu` once no one reads. */
+        /** One waiter at a time receives, outside `mu`, and files
+         *  what it receives for the others in `inbox`; they wait on
+         *  `filed` for a filing or for the reader to hand over. */
         bool reading = false;
-        std::condition_variable readDone;
+        std::uint64_t filings = 0;
+        std::condition_variable filed;
         std::shared_ptr<Transport> transport;
         WorkerHealth health = WorkerHealth::Dead;
         std::size_t consecutiveMisses = 0;
+        /** Steady-clock time of the last answer or miss. */
+        double lastVerdictSeconds = 0.0;
+        /** Probe counter; heartbeat() runs under the layout lock. */
         std::uint64_t heartbeatSeq = 0;
         /** Query ids sent to this worker and still awaited; a reply
          *  with any other id is stale. */
-        std::set<std::uint64_t> outstanding;
-        /** Replies to outstanding ids, received by another waiter
-         *  or by a bind or heartbeat. */
-        std::map<std::uint64_t, Frame> stash;
+        std::vector<std::uint64_t> outstanding;
+        /** Bind and heartbeat waits in progress; acks are filed
+         *  only while there is one. */
+        std::size_t ackWaiters = 0;
+        /** Frames one waiter received for another. */
+        std::vector<Frame> inbox;
 
         // Health transitions; each needs `mu`.
         void markDead()
@@ -256,10 +245,15 @@ class RemoteShardCoordinator final : public AttentionBackend
             if (transport != nullptr)
                 transport->close();
             outstanding.clear();
-            stash.clear();
+            inbox.clear();
         }
-        void markMiss()
+        /** A wait begun at `waitStart` timed out (one stall, one
+         *  miss: see the health notes above). */
+        void markTimedOut(double waitStart, double now)
         {
+            if (lastVerdictSeconds >= waitStart)
+                return;
+            lastVerdictSeconds = now;
             if (++consecutiveMisses >= 2)
                 markDead();
             else if (health == WorkerHealth::Healthy)
@@ -267,10 +261,11 @@ class RemoteShardCoordinator final : public AttentionBackend
         }
         /** An answer clears misses; it cannot revive a Dead worker
          *  (another lane may have closed it meanwhile). */
-        void markAnswered()
+        void markAnswered(double now)
         {
             if (health == WorkerHealth::Dead)
                 return;
+            lastVerdictSeconds = now;
             consecutiveMisses = 0;
             health = WorkerHealth::Healthy;
         }
@@ -283,6 +278,15 @@ class RemoteShardCoordinator final : public AttentionBackend
                 markDead();
             return health != WorkerHealth::Dead;
         }
+        /** Send to a live worker; a failed send marks it Dead. */
+        bool send(const Frame &frame)
+        {
+            if (alive() && !transport->send(frame).ok())
+                markDead();
+            return alive();
+        }
+        /** Stop awaiting request `id`: its reply becomes stale. */
+        void forget(std::uint64_t id);
     };
 
     struct Shard
@@ -309,9 +313,21 @@ class RemoteShardCoordinator final : public AttentionBackend
 
     // Worker state; each takes or needs the worker's lock.
     bool workerAlive(std::size_t w) const;
-    void fileReply(Worker &worker, Frame &&frame) const;
+    void fileFrame(Worker &worker, Frame &&frame) const;
+    /** Wait, holding `lock` on worker.mu, until a frame `mine`
+     *  accepts arrives or the absolute `deadline` passes. */
+    template <typename Mine>
+    NetStatus awaitFrame(Worker &worker,
+                         std::unique_lock<std::mutex> &lock,
+                         double deadline, const Mine &mine,
+                         Frame &out) const;
     void noteRecvFailure(Worker &worker, NetError error,
-                         bool miss) const;
+                         double waitStart) const;
+    /** Send `request` (hello, bind or heartbeat) and await the ack
+     *  `mine` accepts, applying the outcome to the worker's health. */
+    template <typename Mine>
+    NetStatus exchange(Worker &worker, const Frame &request,
+                       double timeoutSeconds, const Mine &mine) const;
     NetStatus connectionError(Worker &worker,
                               const Frame &frame) const;
     void connectWorker(Worker &worker);
@@ -326,7 +342,6 @@ class RemoteShardCoordinator final : public AttentionBackend
                               const Vector &query,
                               bool wantFull) const;
     void recoverLocked(Shard &shard, const Vector &query,
-                       const QueryContext &context,
                        PartialResult *partial,
                        AttentionResult *result) const;
     void runLocal(Shard &shard, const Vector &query,
@@ -338,8 +353,12 @@ class RemoteShardCoordinator final : public AttentionBackend
     // to `result` for a full-result query, else to `partial`.
     Pending sendShard(Shard &shard, const Vector &query,
                       bool wantFull) const;
+    /** Await the reply to a query whose wait began at `waitStart`.
+     *  An `until` before waitStart + queryDeadlineSeconds cuts the
+     *  wait short; a cut wait that times out leaves the request
+     *  outstanding, so a later call can resume it. */
     NetStatus awaitShard(const Pending &pending, std::uint32_t shardId,
-                         const QueryContext &context,
+                         double waitStart, double until,
                          PartialResult *partial,
                          AttentionResult *result) const;
     void awaitOrRecover(Shard &shard, const Pending &pending,

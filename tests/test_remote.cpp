@@ -1146,6 +1146,251 @@ TEST(RemoteFaultToleranceTest, ShortDeadlineDoesNotStickToLaterRequests)
     EXPECT_EQ(remote->workerHealth(1), WorkerHealth::Healthy);
 }
 
+/**
+ * Worker connection that stalls every receive until `stallUntil`
+ * (steady-clock seconds; 0 = no stall): a receive whose timeout ends
+ * first times out, a longer one gets its frame once the stall ends.
+ */
+class StallTransport final : public Transport
+{
+  public:
+    StallTransport(std::shared_ptr<Transport> inner,
+                   std::shared_ptr<std::atomic<double>> stallUntil)
+        : inner_(std::move(inner)), stallUntil_(std::move(stallUntil))
+    {
+    }
+
+    NetStatus send(const Frame &frame) override
+    {
+        return inner_->send(frame);
+    }
+    NetStatus recv(Frame &out, double timeoutSeconds) override
+    {
+        const double stall = stallUntil_->load() - steadySeconds();
+        if (stall > 0.0) {
+            if (timeoutSeconds >= 0.0 && timeoutSeconds < stall) {
+                sleepFor(timeoutSeconds);
+                return NetStatus::failure(NetError::Timeout,
+                                          "stalled worker");
+            }
+            sleepFor(stall);
+            if (timeoutSeconds >= 0.0)
+                timeoutSeconds -= stall;
+        }
+        return inner_->recv(out, timeoutSeconds);
+    }
+    void close() override { inner_->close(); }
+    bool isOpen() const override { return inner_->isOpen(); }
+
+    static double steadySeconds()
+    {
+        return std::chrono::duration<double>(
+                   std::chrono::steady_clock::now().time_since_epoch())
+            .count();
+    }
+
+  private:
+    static void sleepFor(double seconds)
+    {
+        std::this_thread::sleep_for(
+            std::chrono::duration<double>(seconds));
+    }
+
+    std::shared_ptr<Transport> inner_;
+    std::shared_ptr<std::atomic<double>> stallUntil_;
+};
+
+/**
+ * One stall, one miss. Four lanes wait on the same worker when it
+ * stalls a little longer than queryDeadlineSeconds; every wait times
+ * out, but together they are one missed deadline, so the worker is
+ * at most Suspect — never Dead, never rebound — and every query is
+ * answered remotely once the stall ends.
+ */
+TEST(RemoteFaultToleranceTest, OverlappingWaitsOnOneStallCountOneMiss)
+{
+    Rng rng(601);
+    const std::size_t d = 8;
+    const Matrix key = randomMatrix(rng, 64, d);  // 4 shards of 16
+    const Matrix value = randomMatrix(rng, 64, d);
+    const EngineConfig inner = configFor(EngineKind::ExactFloat);
+    std::vector<Vector> queries(8);
+    for (Vector &query : queries)
+        query = randomQuery(rng, d);
+
+    Fleet fleet = makeFleet(2);
+    auto stallUntil = std::make_shared<std::atomic<double>>(0.0);
+    auto wrapped = std::make_shared<std::atomic<int>>(0);
+    RemoteShardConfig config = fastConfig();
+    config.queryDeadlineSeconds = 0.2;
+    config.decorateTransport =
+        [stallUntil, wrapped](std::shared_ptr<Transport> transport)
+        -> std::shared_ptr<Transport> {
+        if (wrapped->fetch_add(1) != 0)
+            return transport;  // only worker 0 stalls
+        return std::make_shared<StallTransport>(std::move(transport),
+                                                stallUntil);
+    };
+    RemoteShardCoordinator remote(inner, key, value, fleet.specs(),
+                                  config);
+    ASSERT_EQ(remote.shardCount(), 4u);
+    const ShardedBackend sharded(inner, key, value, ShardedConfig{16});
+
+    const AttentionEngine engine(4);
+    std::vector<AttentionResult> results;
+    stallUntil->store(StallTransport::steadySeconds() +
+                      config.queryDeadlineSeconds + 0.05);
+    engine.runInto(remote, queries, results);
+    ASSERT_EQ(results.size(), queries.size());
+    for (std::size_t q = 0; q < queries.size(); ++q)
+        expectBitIdentical(results[q], sharded.run(queries[q]));
+
+    const RemoteCoordinatorStats stats = remote.stats();
+    EXPECT_GE(stats.timeouts, 1u);
+    EXPECT_EQ(stats.rebinds, 0u);
+    EXPECT_EQ(stats.localFallbacks, 0u);
+    EXPECT_NE(remote.workerHealth(0), WorkerHealth::Dead);
+    EXPECT_EQ(remote.workerHealth(1), WorkerHealth::Healthy);
+}
+
+/**
+ * A request whose deadline lapses while a healthy worker computes
+ * its shards is late whichever rung answers; it waits for the reply
+ * in flight rather than binding a local copy of the shard, so it is
+ * answered remotely and the coordinator's footprint does not grow.
+ */
+TEST(RemoteFaultToleranceTest, LapsedDeadlineWaitsForTheReplyInFlight)
+{
+    Rng rng(607);
+    const std::size_t d = 8;
+    const Matrix key = randomMatrix(rng, 48, d);  // 3 shards of 16
+    const Matrix value = randomMatrix(rng, 48, d);
+    const EngineConfig inner = configFor(EngineKind::ExactFloat);
+
+    Fleet fleet = makeFleet(2);
+    auto slow = std::make_shared<std::atomic<bool>>(false);
+    RemoteShardConfig config = fastConfig();
+    config.queryDeadlineSeconds = 5.0;
+    config.decorateTransport =
+        [slow](std::shared_ptr<Transport> transport) {
+            return std::make_shared<SlowRecvTransport>(
+                std::move(transport), slow, 0.15);
+        };
+    RemoteShardCoordinator remote(inner, key, value, fleet.specs(),
+                                  config);
+    const ShardedBackend sharded(inner, key, value, ShardedConfig{16});
+    const std::size_t bytesBefore = remote.memoryBytes();
+
+    const Vector query = randomQuery(rng, d);
+    QueryContext context;
+    context.deadlineSeconds = StallTransport::steadySeconds() + 0.05;
+    slow->store(true);
+    AttentionResult got;
+    remote.runInto(query, got, context);
+    slow->store(false);
+    expectBitIdentical(got, sharded.run(query));
+
+    const RemoteCoordinatorStats stats = remote.stats();
+    EXPECT_EQ(stats.localFallbacks, 0u);
+    EXPECT_EQ(stats.timeouts, 0u);
+    EXPECT_EQ(stats.retries, 0u);
+    EXPECT_EQ(remote.memoryBytes(), bytesBefore);
+    EXPECT_EQ(remote.workerHealth(0), WorkerHealth::Healthy);
+    EXPECT_EQ(remote.workerHealth(1), WorkerHealth::Healthy);
+}
+
+/** Worker connection dropping BindShard frames while `drop` is set. */
+class BindDropTransport final : public Transport
+{
+  public:
+    BindDropTransport(std::shared_ptr<Transport> inner,
+                      std::shared_ptr<std::atomic<bool>> drop)
+        : inner_(std::move(inner)), drop_(std::move(drop))
+    {
+    }
+
+    NetStatus send(const Frame &frame) override
+    {
+        if (frame.type == FrameType::BindShard && drop_->load())
+            return NetStatus::success();
+        return inner_->send(frame);
+    }
+    NetStatus recv(Frame &out, double timeoutSeconds) override
+    {
+        return inner_->recv(out, timeoutSeconds);
+    }
+    void close() override { inner_->close(); }
+    bool isOpen() const override { return inner_->isOpen(); }
+
+  private:
+    std::shared_ptr<Transport> inner_;
+    std::shared_ptr<std::atomic<bool>> drop_;
+};
+
+/**
+ * A late request takes a local engine that already exists. Shard 1
+ * falls back to a local engine while its worker is gone and the
+ * survivor drops binds; a heartbeat then binds it onto the
+ * survivor. When that survivor turns slow, a request whose deadline
+ * lapses answers shard 1 from the existing local engine at once and
+ * waits for shard 0's reply in flight; nothing new is bound.
+ */
+TEST(RemoteFaultToleranceTest, LateRequestUsesAnExistingLocalEngine)
+{
+    Rng rng(613);
+    const std::size_t d = 8;
+    const Matrix key = randomMatrix(rng, 32, d);  // 2 shards of 16
+    const Matrix value = randomMatrix(rng, 32, d);
+    const EngineConfig inner = configFor(EngineKind::ExactFloat);
+
+    Fleet fleet = makeFleet(2);
+    auto dropBinds = std::make_shared<std::atomic<bool>>(false);
+    auto slow = std::make_shared<std::atomic<bool>>(false);
+    RemoteShardConfig config = fastConfig();
+    config.queryDeadlineSeconds = 0.3;
+    config.decorateTransport =
+        [dropBinds, slow](std::shared_ptr<Transport> transport) {
+            return std::make_shared<SlowRecvTransport>(
+                std::make_shared<BindDropTransport>(
+                    std::move(transport), dropBinds),
+                slow, 0.2);
+        };
+    RemoteShardCoordinator remote(inner, key, value, fleet.specs(),
+                                  config);
+    ASSERT_EQ(remote.shardCount(), 2u);
+    const ShardedBackend sharded(inner, key, value, ShardedConfig{16});
+
+    // Worker 1 (shard 1's home) goes away and the rebind onto worker
+    // 0 is dropped: shard 1 ends on the local rung.
+    fleet.workers[1]->stop();
+    dropBinds->store(true);
+    const Vector first = randomQuery(rng, d);
+    expectBitIdentical(remote.run(first), sharded.run(first));
+    ASSERT_EQ(remote.stats().localFallbacks, 1u);
+
+    // A heartbeat re-replicates shard 1 onto worker 0.
+    dropBinds->store(false);
+    remote.heartbeat();
+    ASSERT_EQ(remote.workerHealth(0), WorkerHealth::Healthy);
+    const std::size_t bytesBefore = remote.memoryBytes();
+    const std::size_t rebindsBefore = remote.stats().rebinds;
+
+    const Vector second = randomQuery(rng, d);
+    QueryContext context;
+    context.deadlineSeconds = StallTransport::steadySeconds() + 0.05;
+    slow->store(true);
+    AttentionResult got;
+    remote.runInto(second, got, context);
+    slow->store(false);
+    expectBitIdentical(got, sharded.run(second));
+
+    const RemoteCoordinatorStats stats = remote.stats();
+    EXPECT_EQ(stats.localFallbacks, 2u);  // shard 1 only
+    EXPECT_EQ(stats.rebinds, rebindsBefore);
+    EXPECT_EQ(remote.memoryBytes(), bytesBefore);
+    EXPECT_EQ(remote.workerHealth(0), WorkerHealth::Healthy);
+}
+
 /** Runs `hook` once, as the `at`-th Query frame of the fleet leaves. */
 class QueryHookTransport final : public Transport
 {
@@ -1180,14 +1425,14 @@ class QueryHookTransport final : public Transport
 };
 
 /**
- * Remote shards as engine work units: 1- and 4-lane engines run
- * batches whose (query, shard) units overlap across queries, and
- * every answer must be bit-identical to ShardedBackend for every
- * kind — on a clean fleet, under a seeded fault schedule, and with
- * one worker stopped mid-batch. The concurrent units race on the
- * per-worker and per-shard locks (the TSan job runs this test).
+ * Engine-driven remote sessions: 1- and 4-lane engines run batches
+ * in which every lane pipelines one query's shards, and every answer
+ * must be bit-identical to ShardedBackend for every kind — on a
+ * clean fleet, under a seeded fault schedule, and with one worker
+ * stopped mid-batch. Concurrent queries race on the per-worker and
+ * per-shard locks (the TSan job runs this test).
  */
-TEST(RemoteEngineTest, EngineUnitsMatchShardedUnderFaultsAndWorkerLoss)
+TEST(RemoteEngineTest, EngineLanesMatchShardedUnderFaultsAndWorkerLoss)
 {
     Rng rng(503);
     const std::size_t n = 70;  // 5 shards of 14 at shardRows 16
@@ -1245,7 +1490,8 @@ TEST(RemoteEngineTest, EngineUnitsMatchShardedUnderFaultsAndWorkerLoss)
                 }
                 RemoteShardCoordinator remote(inner, key, value,
                                               fleet.specs(), config);
-                ASSERT_EQ(remote.workUnitCount(), 5u);
+                ASSERT_EQ(remote.shardCount(), 5u);
+                ASSERT_EQ(remote.workUnitCount(), 1u);
 
                 const AttentionEngine engine(lanes);
                 std::vector<AttentionResult> results;
@@ -1260,8 +1506,8 @@ TEST(RemoteEngineTest, EngineUnitsMatchShardedUnderFaultsAndWorkerLoss)
                         ++failed;
                 }
                 EXPECT_EQ(failed, 0u);
-                // The engine's units agree with the direct pipelined
-                // path on the same coordinator.
+                // The engine's lanes agree with a direct call on the
+                // same coordinator.
                 expectBitIdentical(remote.run(queries.front()),
                                    results.front());
                 if (injector != nullptr)
